@@ -429,13 +429,24 @@ impl Database {
             }
         };
 
-        let plan = Binder::new(ctx).bind_query(source)?;
+        let mut plan = Binder::new(ctx).bind_query(source)?;
         if plan.schema().len() != positions.len() {
             return Err(bind_err!(
                 "INSERT has {} target columns but the source produces {}",
                 positions.len(),
                 plan.schema().len()
             ));
+        }
+        // A VALUES position made only of `?` (or NULL) has no type at bind
+        // time and defaults to VARCHAR; inserted, it takes its target
+        // column's type instead.
+        if let LogicalPlan::Values { rows, schema } = &mut plan {
+            let columns = schema.columns().iter().enumerate().map(|(i, c)| {
+                let untyped = rows.iter().all(|r| r[i].data_type().is_none());
+                let ty = if untyped { target_schema.column(positions[i]).ty } else { c.ty };
+                PlanColumn { ty, ..c.clone() }
+            });
+            *schema = PlanSchema::new(columns.collect());
         }
         let plan = optimize_with(plan, ctx);
         let rows = Executor::new(ctx).execute(&plan)?;
@@ -539,7 +550,7 @@ impl Database {
 
 /// Coerce a value for storage into a column of type `ty` (string→date and
 /// int→double conversions that SQL permits implicitly on INSERT/UPDATE).
-fn coerce_for_storage(
+pub(crate) fn coerce_for_storage(
     v: Value,
     ty: DataType,
 ) -> std::result::Result<Value, gsql_storage::StorageError> {

@@ -16,6 +16,7 @@
 //! so results are bit-for-bit identical to `threads = 1`.
 
 use crate::context::ExecContext;
+use crate::database::coerce_for_storage;
 use crate::error::{exec_err, Error};
 use crate::exec::expression::{eval, eval_const, eval_filter_indices, eval_to_column};
 use crate::exec::{aggregate, graph_op, join, pipeline, unnest};
@@ -161,8 +162,13 @@ impl<'a> Executor<'a> {
             LogicalPlan::Values { rows, schema } => {
                 let mut t = Table::empty(schema.to_storage_schema());
                 for row in rows {
-                    let values: Vec<Value> =
-                        row.iter().map(|e| eval_const(e, params)).collect::<Result<_>>()?;
+                    let values: Vec<Value> = row
+                        .iter()
+                        .zip(schema.columns())
+                        .map(|(e, c)| {
+                            coerce_for_storage(eval_const(e, params)?, c.ty).map_err(Error::Storage)
+                        })
+                        .collect::<Result<_>>()?;
                     t.append_row(values).map_err(Error::Storage)?;
                 }
                 Ok(Arc::new(t))

@@ -21,6 +21,7 @@ use crate::error::{exec_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{eval_const, eval_to_column};
 use crate::exec::pipeline;
+use crate::exec::vertex_dict::VertexDict;
 use crate::path_index::PathIndexData;
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
 use gsql_graph::batch::CostValue;
@@ -28,7 +29,6 @@ use gsql_graph::{
     BatchComputer, Csr, GraphError, PairResult, TraversalKind, TraversalObserver, WeightSpec,
 };
 use gsql_obs::{EngineMetrics, TraceValue};
-use gsql_storage::value::HashableValue;
 use gsql_storage::{Column, ColumnBuilder, DataType, PathValue, Table, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +50,7 @@ pub struct MaterializedGraph {
     /// The CSR over dense vertex ids.
     pub csr: Csr,
     /// Vertex value → dense id.
-    pub dict: HashMap<HashableValue, u32>,
+    pub dict: VertexDict,
     /// Ordinal of the source key column in `edges`.
     pub src_key: usize,
     /// Ordinal of the destination key column in `edges`.
@@ -69,10 +69,7 @@ pub struct MaterializedGraph {
 impl MaterializedGraph {
     /// Map a vertex value to its dense id, if it is a vertex of the graph.
     pub fn lookup(&self, v: &Value) -> Option<u32> {
-        if v.is_null() {
-            return None;
-        }
-        self.dict.get(&HashableValue(v.clone())).copied()
+        self.dict.lookup(v)
     }
 
     /// Number of vertices.
@@ -99,7 +96,7 @@ impl MaterializedGraph {
         edges: Arc<Table>,
         csr: Csr,
         reverse: Csr,
-        dict: HashMap<HashableValue, u32>,
+        dict: VertexDict,
         src_key: usize,
         dst_key: usize,
     ) -> MaterializedGraph {
@@ -132,10 +129,12 @@ pub fn build_graph(edges: Arc<Table>, src_key: usize, dst_key: usize) -> Result<
 ///
 /// This is the construction cost that the paper's evaluation shows
 /// dominating single-pair query latency (§4) and that batching (Fig. 1b)
-/// and graph indices (§6) amortize. The CSR's counting sort + prefix sum
-/// run over `threads` workers (bit-identical to sequential); the vertex
-/// dictionary stays sequential (dense ids are assigned in first-seen
-/// order).
+/// and graph indices (§6) amortize. The [`VertexDict`] assigns dense ids
+/// in first-seen order in one sequential pass: `INTEGER` keys with a small
+/// span go through a direct-indexed slot array without materializing a
+/// [`Value`] per endpoint; every other key type goes through a hash map.
+/// The CSR's counting sort + prefix sum then run over `threads` workers.
+/// Both steps are bit-identical at every thread count.
 pub fn build_graph_with_threads(
     edges: Arc<Table>,
     src_key: usize,
@@ -145,25 +144,7 @@ pub fn build_graph_with_threads(
     // Exclude edges with NULL endpoints so the snapshot's row ids equal the
     // CSR's edge-row ids.
     let edges = null_filtered_edges(edges, src_key, dst_key);
-
-    let src_col = edges.column(src_key);
-    let dst_col = edges.column(dst_key);
-    let n_rows = edges.row_count();
-
-    // Vertex dictionary over S ∪ D, assigning dense ids in first-seen order.
-    let mut dict: HashMap<HashableValue, u32> = HashMap::new();
-    let mut src_ids = Vec::with_capacity(n_rows);
-    let mut dst_ids = Vec::with_capacity(n_rows);
-    for i in 0..n_rows {
-        let s = src_col.get(i);
-        let d = dst_col.get(i);
-        let next = dict.len() as u32;
-        let sid = *dict.entry(HashableValue(s)).or_insert(next);
-        let next = dict.len() as u32;
-        let did = *dict.entry(HashableValue(d)).or_insert(next);
-        src_ids.push(sid);
-        dst_ids.push(did);
-    }
+    let (dict, src_ids, dst_ids) = VertexDict::encode(edges.column(src_key), edges.column(dst_key));
     let csr = Csr::from_edges_with_threads(dict.len() as u32, &src_ids, &dst_ids, threads)
         .map_err(Error::Graph)?;
     Ok(MaterializedGraph {
@@ -471,8 +452,22 @@ fn obtain_graph(
         }
     }
     let edges = ex.execute(edge)?;
-    let threads = ctx.threads();
-    Ok((Arc::new(build_graph_with_threads(edges, src_key, dst_key, threads)?), false, None))
+    let span = ctx.trace_begin("graph_build");
+    let built = build_graph_with_threads(edges, src_key, dst_key, ctx.threads());
+    if let (Some(t), Some(id)) = (ctx.trace(), span) {
+        match &built {
+            Ok(graph) => t.end_with(
+                id,
+                vec![
+                    ("vertices".to_string(), TraceValue::from(graph.num_vertices() as i64)),
+                    ("edges".to_string(), TraceValue::from(graph.num_edges() as i64)),
+                    ("dict".to_string(), TraceValue::from(graph.dict.form())),
+                ],
+            ),
+            Err(_) => t.end(id),
+        }
+    }
+    Ok((Arc::new(built?), false, None))
 }
 
 /// Run a single-pair batch through the accelerated search (ALT or CH,
@@ -925,5 +920,171 @@ mod tests {
         let r = computer.shortest_path(s10, s30, &WeightSpec::Int(weights)).unwrap();
         assert_eq!(r.cost.unwrap().as_f64(), 2.0); // via 20
         assert_eq!(r.path.unwrap(), vec![0, 1]); // snapshot row ids
+    }
+
+    // ---- vertex dictionary: differential checks against a first-seen
+    // reference computed here with a plain `HashMap<i64, u32>`.
+
+    /// Deterministic xorshift stream for the random edge tables.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    fn int_edges(rows: &[(i64, i64)]) -> Arc<Table> {
+        let schema = Schema::new(vec![
+            ColumnDef::new("src", DataType::Int),
+            ColumnDef::new("dst", DataType::Int),
+        ]);
+        let src = Column::from_ints(rows.iter().map(|r| r.0).collect());
+        let dst = Column::from_ints(rows.iter().map(|r| r.1).collect());
+        Arc::new(Table::from_columns(schema, vec![src, dst]).unwrap())
+    }
+
+    /// Build the graph of `rows` at several thread counts and check it
+    /// against the reference: same ids for every key, the expected
+    /// dictionary form, a CSR identical to one built from the reference
+    /// ids, and a lossless round trip through the persisted value order.
+    fn check_against_reference(rows: &[(i64, i64)], form: &str) -> MaterializedGraph {
+        let mut ids: HashMap<i64, u32> = HashMap::new();
+        let mut order = Vec::new();
+        let mut id_of = |k: i64| {
+            *ids.entry(k).or_insert_with(|| {
+                order.push(k);
+                order.len() as u32 - 1
+            })
+        };
+        let (src, dst): (Vec<u32>, Vec<u32>) =
+            rows.iter().map(|&(s, d)| (id_of(s), id_of(d))).unzip();
+        let want = Csr::from_edges(ids.len() as u32, &src, &dst).unwrap();
+        let mut last = None;
+        for threads in [1, 3] {
+            let g = build_graph_with_threads(int_edges(rows), 0, 1, threads).unwrap();
+            assert_eq!(g.dict.form(), form, "rows {rows:?}");
+            assert_eq!(g.num_vertices() as usize, ids.len());
+            for (&k, &id) in &ids {
+                assert_eq!(g.lookup(&Value::Int(k)), Some(id), "key {k}");
+            }
+            assert_eq!(g.csr.raw_parts(), want.raw_parts());
+            let values = g.dict.values();
+            assert_eq!(values, order.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>());
+            let restored = VertexDict::from_values(values, rows.len()).unwrap();
+            assert_eq!(restored.form(), form);
+            for (&k, &id) in &ids {
+                assert_eq!(restored.lookup(&Value::Int(k)), Some(id), "restored key {k}");
+            }
+            last = Some(g);
+        }
+        last.unwrap()
+    }
+
+    #[test]
+    fn dictionary_matches_first_seen_reference_on_random_tables() {
+        let mut next = rng(0x9e37_79b9_7f4a_7c15);
+        for case in 0..40 {
+            let rows_n = (next() % 300) as usize + 1;
+            // Alternate dense spans (some negative, some pinned to either end
+            // of the i64 range) with sparse 64-bit keys.
+            let (base, span): (i64, u64) = match case % 5 {
+                0 => (0, rows_n as u64),
+                1 => (-(rows_n as i64), 2 * rows_n as u64),
+                2 => (i64::MIN, rows_n as u64 / 2 + 1),
+                3 => (i64::MAX - rows_n as i64, rows_n as u64 + 1),
+                _ => (0, 0),
+            };
+            let mut key = || match span {
+                0 => next() as i64,
+                _ => base.wrapping_add((next() % span) as i64),
+            };
+            let mut rows: Vec<(i64, i64)> = (0..rows_n).map(|_| (key(), key())).collect();
+            // Duplicate edges and self-loops.
+            let dup = rows[rows_n / 2];
+            rows.push(dup);
+            rows.push((dup.0, dup.0));
+            let form = if span == 0 { "generic" } else { "dense" };
+            check_against_reference(&rows, form);
+        }
+    }
+
+    #[test]
+    fn dictionary_form_follows_the_key_span() {
+        // Span exactly 2 × rows is dense; one more is generic.
+        check_against_reference(&[(0, 3), (3, 1)], "dense");
+        check_against_reference(&[(0, 4), (4, 1)], "generic");
+        // i64::MIN and i64::MAX together: the span does not overflow.
+        let g = check_against_reference(&[(i64::MIN, i64::MAX), (i64::MAX, 0)], "generic");
+        assert_eq!(g.num_vertices(), 3);
+        // Empty edge tables have no vertices in either representation.
+        let g = check_against_reference(&[], "dense");
+        assert!(g.dict.is_empty());
+        assert_eq!(g.lookup(&Value::Int(0)), None);
+        // Self-loops only.
+        check_against_reference(&[(7, 7), (7, 7), (8, 8)], "dense");
+    }
+
+    #[test]
+    fn dictionary_probes_follow_sql_equality() {
+        let dense = check_against_reference(&[(-2, 0), (0, 3), (3, -2)], "dense");
+        let sparse = check_against_reference(&[(-2, 0), (0, 3), (3, 1 << 40)], "generic");
+        for g in [&dense, &sparse] {
+            let three = g.lookup(&Value::Int(3));
+            assert!(three.is_some());
+            assert_eq!(g.lookup(&Value::Double(3.0)), three);
+            assert_eq!(g.lookup(&Value::Double(-0.0)), g.lookup(&Value::Int(0)));
+            assert_eq!(g.lookup(&Value::Double(-2.0)), g.lookup(&Value::Int(-2)));
+            for miss in [
+                Value::Null,
+                Value::from("3"),
+                Value::Bool(true),
+                Value::Double(3.5),
+                Value::Double(f64::NAN),
+                Value::Double(f64::INFINITY),
+                Value::Double(1e300),
+                Value::Double(-1e300),
+                Value::Int(2),
+                Value::Int(-3),
+                Value::Int(i64::MIN),
+                Value::Int(i64::MAX),
+            ] {
+                assert_eq!(g.lookup(&miss), None, "{miss:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_integer_keys_use_the_generic_dictionary() {
+        let mut t = Table::empty(Schema::new(vec![
+            ColumnDef::new("src", DataType::Double),
+            ColumnDef::new("dst", DataType::Double),
+        ]));
+        // -0.0 and 0.0 are one vertex (they are `sql_eq`).
+        for (s, d) in [(0.0, 1.5), (-0.0, 2.0), (1.5, 2.0)] {
+            t.append_row(vec![Value::Double(s), Value::Double(d)]).unwrap();
+        }
+        let g = build_graph(Arc::new(t), 0, 1).unwrap();
+        assert_eq!(g.dict.form(), "generic");
+        assert_eq!(g.num_vertices(), 3);
+        assert_eq!(g.lookup(&Value::Int(0)), Some(0));
+        assert_eq!(g.lookup(&Value::Double(-0.0)), Some(0));
+        assert_eq!(g.lookup(&Value::Double(2.0)), g.lookup(&Value::Int(2)));
+
+        let mut t = Table::empty(Schema::new(vec![
+            ColumnDef::new("src", DataType::Varchar),
+            ColumnDef::new("dst", DataType::Varchar),
+        ]));
+        t.append_row(vec![Value::from("b"), Value::from("a")]).unwrap();
+        let g = build_graph(Arc::new(t), 0, 1).unwrap();
+        assert_eq!(g.dict.form(), "generic");
+        assert_eq!(g.dict.values(), vec![Value::from("b"), Value::from("a")]);
+        assert_eq!(g.lookup(&Value::from("a")), Some(1));
+        assert_eq!(g.lookup(&Value::Int(1)), None);
+        // A persisted dictionary with a repeated value is refused.
+        assert!(VertexDict::from_values(vec![Value::from("a"), Value::from("a")], 1).is_none());
+        assert!(VertexDict::from_values(vec![Value::Int(4), Value::Int(4)], 1).is_none());
     }
 }

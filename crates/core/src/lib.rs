@@ -69,7 +69,7 @@ pub mod session;
 pub use context::{Deadline, ExecContext, ExecStats, OpStats, SessionSettings};
 pub use database::{Database, QueryResult};
 pub use error::Error;
-pub use exec::{build_graph, build_graph_with_threads, MaterializedGraph};
+pub use exec::{build_graph, build_graph_with_threads, MaterializedGraph, VertexDict};
 pub use graph_index::GraphIndexRegistry;
 pub use path_index::{PathIndexData, PathIndexMeta, PathIndexRegistry};
 pub use plan::LogicalPlan;

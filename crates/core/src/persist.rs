@@ -27,6 +27,7 @@
 use crate::database::Database;
 use crate::error::Error;
 use crate::exec::graph_op::{null_filtered_edges, MaterializedGraph};
+use crate::exec::vertex_dict::VertexDict;
 use crate::graph_index::{GraphIndexRegistry, GraphIndexSnapshot};
 use crate::path_index::{
     AccelIndex, PathIndexData, PathIndexKind, PathIndexRegistry, PathIndexSnapshotEntry,
@@ -35,9 +36,7 @@ use crate::session::Session;
 use gsql_accel::{ChParts, ContractionHierarchy, Landmarks, UpGraphParts};
 use gsql_graph::Csr;
 use gsql_storage::persist::{ByteReader, ByteWriter};
-use gsql_storage::value::HashableValue;
 use gsql_storage::{SnapshotData, SnapshotTable, StorageError, Table, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -265,10 +264,7 @@ fn encode_built_data(w: &mut ByteWriter, data: &PathIndexData) -> Result<()> {
     w.put_usize(graph.src_key);
     w.put_usize(graph.dst_key);
     // Dictionary values in dense-id order (ids are 0..n contiguous).
-    let mut vals = vec![Value::Null; graph.dict.len()];
-    for (hv, &id) in &graph.dict {
-        vals[id as usize] = hv.0.clone();
-    }
+    let vals = graph.dict.values();
     w.put_usize(vals.len());
     for v in &vals {
         put_value(w, v)?;
@@ -541,11 +537,8 @@ fn decode_built_data(
     if weight_key.is_some() != weights_fwd.is_some() {
         return Err(corrupt("persisted weights disagree with the declared weight column"));
     }
-    let dict: HashMap<HashableValue, u32> =
-        vals.into_iter().enumerate().map(|(i, v)| (HashableValue(v), i as u32)).collect();
-    if dict.len() != csr.num_vertices() as usize {
-        return Err(corrupt("persisted dictionary contains duplicate vertex values"));
-    }
+    let dict = VertexDict::from_values(vals, edges.row_count())
+        .ok_or_else(|| corrupt("persisted dictionary contains duplicate vertex values"))?;
     let graph =
         Arc::new(MaterializedGraph::from_saved(edges, csr, reverse, dict, src_key, dst_key));
     let data = PathIndexData { graph, accel, weight_key, weights_fwd, weights_bwd };

@@ -181,7 +181,8 @@ impl Value {
 
     /// Hash consistent with [`Value::sql_eq`] for use in hash joins and
     /// group-by. Numeric values hash through their double representation so
-    /// that `Int(1)` and `Double(1.0)` collide (they are `sql_eq`).
+    /// that `Int(1)` and `Double(1.0)` collide (they are `sql_eq`); `-0.0`
+    /// hashes as `0.0`, which it equals.
     pub fn hash_value<H: Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => 0u8.hash(state),
@@ -191,6 +192,7 @@ impl Value {
             }
             Value::Double(v) => {
                 1u8.hash(state);
+                let v = if *v == 0.0 { 0.0 } else { *v };
                 v.to_bits().hash(state);
             }
             Value::Str(s) => {

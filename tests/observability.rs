@@ -239,6 +239,47 @@ fn trace_records_span_tree_for_pipeline_and_graph_join() {
     assert!(pipeline_line.contains("max="), "line was: {pipeline_line}");
 }
 
+/// The spans directly under the span (or root) whose children include a
+/// span named `name`.
+fn siblings_of<'j>(spans: &'j [Json], name: &str) -> Option<&'j [Json]> {
+    if spans.iter().any(|s| s.get("name").and_then(Json::as_str) == Some(name)) {
+        return Some(spans);
+    }
+    spans
+        .iter()
+        .find_map(|s| s.get("children").and_then(Json::as_array).and_then(|c| siblings_of(c, name)))
+}
+
+/// An unindexed single-pair `CHEAPEST SUM` (the SNB Q13 shape) records the
+/// per-statement graph construction as a `graph_build` span next to its
+/// `traversal`, naming the vertex dictionary's form.
+#[test]
+fn trace_records_graph_build_next_to_traversal() {
+    let db = graph_db();
+    db.execute_script(
+        "CREATE TABLE v (s VARCHAR NOT NULL, d VARCHAR NOT NULL);
+         INSERT INTO v VALUES ('a', 'b'), ('b', 'c');",
+    )
+    .unwrap();
+    let session = db.session();
+    session.set("trace", "on").unwrap();
+    let cases = [
+        ("SELECT CHEAPEST SUM(1) AS hops WHERE 3 REACHES 7 OVER e EDGE (s, d)", 400, "dense"),
+        ("SELECT CHEAPEST SUM(1) AS hops WHERE 'a' REACHES 'c' OVER v EDGE (s, d)", 2, "generic"),
+    ];
+    for (sql, edges, dict) in cases {
+        session.query(sql).unwrap();
+        let doc = json::parse(&session.last_trace_json().unwrap()).unwrap();
+        let level = siblings_of(doc.as_array().unwrap(), "graph_build")
+            .unwrap_or_else(|| panic!("graph_build span for {sql}: {doc:?}"));
+        assert!(find_span(level, "traversal").is_some_and(|t| level.contains(t)), "{doc:?}");
+        let build = find_span(level, "graph_build").unwrap();
+        assert_eq!(attr(build, "edges").and_then(Json::as_i64), Some(edges), "{build:?}");
+        assert!(attr(build, "vertices").and_then(Json::as_i64).unwrap_or(0) > 0, "{build:?}");
+        assert_eq!(attr(build, "dict").and_then(Json::as_str), Some(dict), "{build:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Slow-query log
 // ---------------------------------------------------------------------------

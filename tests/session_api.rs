@@ -388,3 +388,46 @@ fn database_prepare_binds_lazily_per_session() {
     assert_eq!(session.cache_stats().misses, 1);
     assert_eq!(session.cache_stats().hits, 2);
 }
+
+/// A `VALUES` position made only of `?` placeholders takes the target
+/// column's type on INSERT, for ad-hoc and prepared statements alike;
+/// string parameters still convert into DATE columns.
+#[test]
+fn parameterized_insert_takes_target_column_types() {
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE u (a INTEGER, b INTEGER);
+         CREATE TABLE r (x DOUBLE, day DATE, name VARCHAR);",
+    )
+    .unwrap();
+    let session = db.session();
+    session
+        .execute_with_params("INSERT INTO u VALUES (?, ?)", &[Value::Int(1), Value::Int(2)])
+        .unwrap();
+    let stmt = session.prepare("INSERT INTO u VALUES (?, ?), (?, NULL)").unwrap();
+    stmt.execute(&session, &[Value::Int(3), Value::Int(4), Value::Int(5)]).unwrap();
+    let t = session.query("SELECT a, b FROM u ORDER BY a").unwrap();
+    assert_eq!(
+        t.rows().collect::<Vec<_>>(),
+        vec![
+            vec![Value::Int(1), Value::Int(2)],
+            vec![Value::Int(3), Value::Int(4)],
+            vec![Value::Int(5), Value::Null],
+        ]
+    );
+
+    session
+        .execute_with_params(
+            "INSERT INTO r VALUES (?, ?, ?)",
+            &[Value::Int(2), Value::from("2020-01-15"), Value::from("ada")],
+        )
+        .unwrap();
+    let t = session.query("SELECT x, CAST(day AS VARCHAR), name FROM r").unwrap();
+    assert_eq!(t.row(0), vec![Value::Double(2.0), Value::from("2020-01-15"), Value::from("ada")]);
+
+    // A parameter of the wrong type is still a type error, not a panic.
+    let err = session
+        .execute_with_params("INSERT INTO u VALUES (?, ?)", &[Value::from("x"), Value::Int(1)])
+        .unwrap_err();
+    assert!(err.to_string().contains("type mismatch"), "{err}");
+}

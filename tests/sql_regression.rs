@@ -340,3 +340,33 @@ fn qualified_wildcards() {
     assert_eq!(t.schema().len(), 3);
     assert_eq!(t.row(0), vec![v(1), s("eng"), s("ada")]);
 }
+
+/// `-0.0` equals `0.0` (and `INTEGER 0`) under `=`, so it must group,
+/// deduplicate and join with them too.
+#[test]
+fn negative_zero_groups_distincts_and_joins_with_zero() {
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE d (x DOUBLE);
+         INSERT INTO d VALUES (0.0), (-0.0), (0.0), (-0.0), (1.0);
+         CREATE TABLE e (s INTEGER);
+         INSERT INTO e VALUES (0);",
+    )
+    .unwrap();
+    let stored = db.query("SELECT x FROM d").unwrap();
+    assert!(
+        stored.rows().any(|r| matches!(r[0], Value::Double(x) if x == 0.0 && x.is_sign_negative())),
+        "the table holds a genuine -0.0"
+    );
+
+    let groups = db.query("SELECT x, COUNT(*) FROM d GROUP BY x ORDER BY x").unwrap();
+    assert_eq!(groups.row_count(), 2, "one group for ±0.0: {:?}", rows(&groups));
+    assert_eq!(groups.row(0)[1], v(4));
+    assert_eq!(groups.row(1), vec![Value::Double(1.0), v(1)]);
+
+    let distinct = db.query("SELECT COUNT(DISTINCT x) FROM d").unwrap();
+    assert_eq!(distinct.row(0)[0], v(2));
+
+    let joined = db.query("SELECT COUNT(*) FROM d JOIN e ON d.x = e.s").unwrap();
+    assert_eq!(joined.row(0)[0], v(4));
+}
