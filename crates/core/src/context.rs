@@ -7,8 +7,7 @@
 //! the engine-side counterpart of a [`crate::Session`].
 
 use crate::error::{bind_err, Error};
-use crate::graph_index::GraphIndexRegistry;
-use crate::path_index::PathIndexRegistry;
+use crate::path_index::{IndexFamily, IndexRegistry};
 use gsql_obs::{EngineMetrics, SpanId, TraceCollector, TraceLevel, NO_SPAN};
 use gsql_storage::{Catalog, Value};
 use std::fmt::Write as _;
@@ -424,8 +423,7 @@ fn fmt_duration(d: Duration) -> String {
 pub struct ExecContext<'a> {
     catalog: &'a Catalog,
     params: &'a [Value],
-    indexes: Option<&'a GraphIndexRegistry>,
-    path_indexes: Option<&'a PathIndexRegistry>,
+    indexes: Option<&'a IndexRegistry>,
     settings: SessionSettings,
     deadline: Option<Deadline>,
     stats: Option<Mutex<ExecStats>>,
@@ -450,13 +448,12 @@ impl<'a> ExecContext<'a> {
     pub fn new(
         catalog: &'a Catalog,
         params: &'a [Value],
-        indexes: Option<&'a GraphIndexRegistry>,
+        indexes: Option<&'a IndexRegistry>,
     ) -> ExecContext<'a> {
         ExecContext {
             catalog,
             params,
             indexes,
-            path_indexes: None,
             settings: SessionSettings::default(),
             deadline: None,
             stats: None,
@@ -467,9 +464,11 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Attach the path-index registry (builder style).
-    pub fn with_path_indexes(mut self, registry: &'a PathIndexRegistry) -> ExecContext<'a> {
-        self.path_indexes = Some(registry);
+    /// Attach the index registry. The registry holds graph and path
+    /// indexes alike, so this sets the same field as the registry argument
+    /// of [`ExecContext::new`].
+    pub fn with_path_indexes(mut self, registry: &'a IndexRegistry) -> ExecContext<'a> {
+        self.indexes = Some(registry);
         self
     }
 
@@ -520,24 +519,15 @@ impl<'a> ExecContext<'a> {
         self.params
     }
 
-    /// The graph-index registry, unless disabled by
-    /// [`SessionSettings::graph_index`].
-    pub fn indexes(&self) -> Option<&'a GraphIndexRegistry> {
-        if self.settings.graph_index {
-            self.indexes
-        } else {
-            None
-        }
-    }
-
-    /// The path-index registry, unless disabled by
-    /// [`SessionSettings::path_index`].
-    pub fn path_indexes(&self) -> Option<&'a PathIndexRegistry> {
-        if self.settings.path_index {
-            self.path_indexes
-        } else {
-            None
-        }
+    /// The index registry, unless the setting of `family` disables it:
+    /// [`SessionSettings::graph_index`] for graph indexes,
+    /// [`SessionSettings::path_index`] for path indexes.
+    pub fn indexes(&self, family: IndexFamily) -> Option<&'a IndexRegistry> {
+        let enabled = match family {
+            IndexFamily::Graph => self.settings.graph_index,
+            IndexFamily::Path => self.settings.path_index,
+        };
+        self.indexes.filter(|_| enabled)
     }
 
     /// Record extra statistics detail for the operator currently executing

@@ -150,13 +150,9 @@ impl<'a> Executor<'a> {
                 t.append_row(Vec::new()).map_err(Error::Storage)?;
                 Ok(Arc::new(t))
             }
-            LogicalPlan::Scan { table, .. } => {
-                self.ctx.catalog().get(table).map_err(Error::Storage)
-            }
-            LogicalPlan::IndexedGraph { table, .. }
-            | LogicalPlan::PathIndexedGraph { table, .. } => {
-                // Reached only when a graph operator did not consume the
-                // node (or the index was dropped): scan the base table.
+            // An `IndexedGraph` is reached only when its graph operator did
+            // not consume it (the index was dropped): scan the base table.
+            LogicalPlan::Scan { table, .. } | LogicalPlan::IndexedGraph { table, .. } => {
                 self.ctx.catalog().get(table).map_err(Error::Storage)
             }
             LogicalPlan::Values { rows, schema } => {

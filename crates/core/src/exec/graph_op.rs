@@ -22,7 +22,8 @@ use crate::exec::executor::Executor;
 use crate::exec::expression::{eval_const, eval_to_column};
 use crate::exec::pipeline;
 use crate::exec::vertex_dict::VertexDict;
-use crate::path_index::PathIndexData;
+use crate::optimize::spec_accel_eligible;
+use crate::path_index::{BatchSearch, IndexFamily, PathIndexData};
 use crate::plan::{BoundExpr, CheapestSpec, LogicalPlan, PlanSchema};
 use gsql_graph::batch::CostValue;
 use gsql_graph::{
@@ -158,57 +159,53 @@ pub fn build_graph_with_threads(
     })
 }
 
-/// How one `CHEAPEST SUM` spec is actually executed.
-enum SpecRun {
-    /// Constant weight: run BFS and scale the hop count. `CHEAPEST SUM(1)`
-    /// is the paper's unweighted shortest path.
-    Hops {
-        /// The constant weight (validated > 0).
-        scale: Value,
-    },
-    /// Per-edge weights.
-    Weighted(WeightSpec),
+/// Validate a `CHEAPEST SUM` weight that is a constant: it scales the hop
+/// count and must be strictly positive. Returns the scale, or `None` for a
+/// per-edge weight. `CHEAPEST SUM(1)` is the paper's unweighted shortest
+/// path.
+fn prepare_spec(spec: &CheapestSpec, params: &[Value]) -> Result<Option<Value>> {
+    if !spec.weight.is_constant() {
+        return Ok(None);
+    }
+    let v = eval_const(&spec.weight, params)?;
+    let positive = match &v {
+        Value::Int(x) => *x > 0,
+        Value::Double(x) => *x > 0.0 && x.is_finite(),
+        _ => false,
+    };
+    if !positive {
+        return Err(Error::Graph(GraphError::NonPositiveWeight {
+            edge_row: 0,
+            weight: v.to_string(),
+        }));
+    }
+    Ok(Some(v))
 }
 
-/// Build the execution form of a weight spec over the edge snapshot.
-fn prepare_spec(spec: &CheapestSpec, edges: &Table, params: &[Value]) -> Result<SpecRun> {
-    if spec.weight.is_constant() {
-        let v = eval_const(&spec.weight, params)?;
-        let positive = match &v {
-            Value::Int(x) => *x > 0,
-            Value::Double(x) => *x > 0.0 && x.is_finite(),
-            _ => false,
-        };
-        if !positive {
-            return Err(Error::Graph(GraphError::NonPositiveWeight {
-                edge_row: 0,
-                weight: v.to_string(),
-            }));
-        }
-        return Ok(SpecRun::Hops { scale: v });
-    }
+/// Evaluate a per-edge weight over the edge snapshot.
+fn edge_weights(spec: &CheapestSpec, edges: &Table, params: &[Value]) -> Result<WeightSpec> {
     let col = eval_to_column(&spec.weight, edges, params, spec.weight_ty)?;
     match &col {
         Column::Int(vals, validity) => {
             if let Some(row) = (0..vals.len()).find(|&i| !validity.get(i)) {
                 return Err(Error::Graph(GraphError::NullWeight { edge_row: row as u32 }));
             }
-            Ok(SpecRun::Weighted(WeightSpec::Int(vals.clone())))
+            Ok(WeightSpec::Int(vals.clone()))
         }
         Column::Double(vals, validity) => {
             if let Some(row) = (0..vals.len()).find(|&i| !validity.get(i)) {
                 return Err(Error::Graph(GraphError::NullWeight { edge_row: row as u32 }));
             }
-            Ok(SpecRun::Weighted(WeightSpec::Float(vals.clone())))
+            Ok(WeightSpec::Float(vals.clone()))
         }
         other => Err(exec_err!("CHEAPEST SUM weight must be numeric, found {}", other.data_type())),
     }
 }
 
-/// Bridges the graph library's per-traversal callbacks onto the engine
-/// metrics registry, while accumulating totals for the enclosing trace
-/// span. Called from the traversal worker pool, so both sinks are relaxed
-/// atomics — nothing here influences results.
+/// Bridges traversal reports onto the engine metrics registry, while
+/// accumulating totals for the enclosing trace span. Called from the
+/// traversal worker pool, so both sinks are relaxed atomics — nothing here
+/// influences results.
 struct MetricsObserver<'m> {
     metrics: Option<&'m EngineMetrics>,
     traversals: AtomicU64,
@@ -220,6 +217,15 @@ impl<'m> MetricsObserver<'m> {
         MetricsObserver { metrics, traversals: AtomicU64::new(0), settled: AtomicU64::new(0) }
     }
 
+    /// Record one traversal of `kind` (one of [`gsql_obs::ACCEL_KINDS`]).
+    fn record(&self, kind: &str, settled: usize) {
+        if let Some(m) = self.metrics {
+            m.record_traversal(kind, settled as u64);
+        }
+        self.traversals.fetch_add(1, Ordering::Relaxed);
+        self.settled.fetch_add(settled as u64, Ordering::Relaxed);
+    }
+
     fn totals(&self) -> (u64, u64) {
         (self.traversals.load(Ordering::Relaxed), self.settled.load(Ordering::Relaxed))
     }
@@ -227,11 +233,7 @@ impl<'m> MetricsObserver<'m> {
 
 impl TraversalObserver for MetricsObserver<'_> {
     fn traversal(&self, kind: TraversalKind, settled: usize) {
-        if let Some(m) = self.metrics {
-            m.record_traversal(kind.as_str(), settled as u64);
-        }
-        self.traversals.fetch_add(1, Ordering::Relaxed);
-        self.settled.fetch_add(settled as u64, Ordering::Relaxed);
+        self.record(kind.as_str(), settled);
     }
 }
 
@@ -273,94 +275,163 @@ impl SpecResults {
     }
 }
 
-/// Run all specs (or a plain reachability probe) over a pair batch.
+/// The graph a graph operator runs over, and where it came from.
+struct EdgeGraph {
+    graph: Arc<MaterializedGraph>,
+    /// The graph is a registry entry's and outlives the query.
+    from_index: bool,
+    /// The entry's accelerated data, for a path index.
+    accel: Option<Arc<PathIndexData>>,
+}
+
+/// The one traversal routine: answers a graph operator's pair batch for
+/// every spec (or as a plain reachability probe when there are none).
 ///
-/// `from_index` marks graphs that outlive the query (graph indices); those
-/// may use the bidirectional-BFS fast path for single-pair unweighted
-/// requests, amortizing the reverse-CSR construction across queries.
-/// The context supplies the `?` parameters, the worker-pool width for the
-/// distinct-source traversals (results merged in input order — identical
-/// to sequential) and the statement deadline, polled between traversal
-/// groups so a timeout interrupts a long batch mid-flight.
-fn run_specs(
-    graph: &MaterializedGraph,
+/// 1. Constant weights are validated once, before any traversal runs.
+/// 2. The tier is picked. The accelerated tier runs when the graph carries
+///    an accelerator that serves every spec: one pair goes to the
+///    point-to-point search, more pairs to the many-to-many tier. The plain
+///    tier ([`BatchComputer`]) runs otherwise.
+/// 3. One `traversal` span, the traversal metrics and the `EXPLAIN
+///    ANALYZE` detail are recorded here, whichever tier ran.
+///
+/// Costs are bit-identical across tiers and thread counts. The context
+/// supplies the `?` parameters, the worker-pool width and the statement
+/// deadline, polled between traversal groups so a timeout interrupts a
+/// long batch mid-flight.
+fn run_traversals(
+    eg: &EdgeGraph,
     pairs: &[(u32, u32)],
     specs: &[CheapestSpec],
     ctx: &ExecContext<'_>,
-    from_index: bool,
 ) -> Result<(Vec<bool>, Vec<SpecResults>)> {
+    let scales: Vec<Option<Value>> =
+        specs.iter().map(|spec| prepare_spec(spec, ctx.params())).collect::<Result<_>>()?;
+    let accel = eg.accel.as_deref().filter(|data| {
+        !pairs.is_empty() && specs.iter().all(|s| spec_accel_eligible(s, data.weight_key))
+    });
     let observer = MetricsObserver::new(ctx.metrics().map(Arc::as_ref));
     let span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "traversal"));
-    let result = run_specs_observed(graph, pairs, specs, ctx, from_index, &observer);
+    let mut accel_kind = None;
+    let result = match accel {
+        Some(data) => search_accelerated(data, pairs, ctx).map(|batch| {
+            accel_kind = Some(batch.kind);
+            observer.record(batch.kind, batch.settled);
+            ctx.record_op_detail(batch.detail);
+            accelerated_results(&batch.dist, specs, scales)
+        }),
+        None => search_plain(eg, pairs, specs, scales, ctx, &observer),
+    };
     if let (Some(t), Some(id)) = (ctx.trace(), span) {
         let (traversals, settled) = observer.totals();
+        let attr = |name: &str, value: TraceValue| (name.to_string(), value);
+        let pairs = attr("pairs", TraceValue::from(pairs.len() as i64));
+        let settled = attr("settled", TraceValue::from(settled as i64));
         t.end_with(
             id,
-            vec![
-                ("pairs".to_string(), TraceValue::from(pairs.len() as i64)),
-                ("traversals".to_string(), TraceValue::from(traversals as i64)),
-                ("settled".to_string(), TraceValue::from(settled as i64)),
-            ],
+            match accel_kind {
+                Some(kind) => vec![attr("kind", TraceValue::from(kind)), pairs, settled],
+                None => {
+                    vec![pairs, attr("traversals", TraceValue::from(traversals as i64)), settled]
+                }
+            },
         );
     }
     result
 }
 
-/// [`run_specs`] body, with every traversal reported to `observer`.
-fn run_specs_observed(
-    graph: &MaterializedGraph,
+/// The accelerated tier's search over the index's native weights. An
+/// expired statement deadline surfaces as the statement's timeout error,
+/// matching [`BatchComputer`].
+fn search_accelerated(
+    data: &PathIndexData,
+    pairs: &[(u32, u32)],
+    ctx: &ExecContext<'_>,
+) -> Result<BatchSearch> {
+    if let &[(s, d)] = pairs {
+        let (dist, settled) = data.search(s, d);
+        let detail = data.analyze_detail(settled);
+        return Ok(BatchSearch { dist: vec![dist], settled, kind: data.kind_name(), detail });
+    }
+    data.search_batch(pairs, ctx.threads(), ctx.deadline_instant())
+        .ok_or_else(|| ctx.timeout_error())
+}
+
+/// Per-spec results from the accelerated tier's distances. Eligibility
+/// pins constant specs to hop indexes and column specs to the index's
+/// weight column, so one search answers every spec.
+fn accelerated_results(
+    dist: &[Option<u64>],
+    specs: &[CheapestSpec],
+    scales: Vec<Option<Value>>,
+) -> (Vec<bool>, Vec<SpecResults>) {
+    let reachable = dist.iter().map(Option::is_some).collect();
+    let results = specs
+        .iter()
+        .zip(scales)
+        .map(|(spec, scale)| SpecResults {
+            results: dist
+                .iter()
+                .map(|d| PairResult {
+                    reachable: d.is_some(),
+                    cost: d.map(|c| CostValue::Int(c as i64)),
+                    path: None,
+                })
+                .collect(),
+            scale,
+            want_path: false,
+            cost_ty: spec.weight_ty,
+        })
+        .collect();
+    (reachable, results)
+}
+
+/// The plain tier: one BFS or Dijkstra per distinct source per spec, with
+/// every traversal reported to `observer`. A single unweighted pair over a
+/// registry graph takes the bidirectional BFS instead, whose reverse CSR
+/// the cached graph amortizes across queries.
+fn search_plain(
+    eg: &EdgeGraph,
     pairs: &[(u32, u32)],
     specs: &[CheapestSpec],
+    scales: Vec<Option<Value>>,
     ctx: &ExecContext<'_>,
-    from_index: bool,
     observer: &MetricsObserver<'_>,
 ) -> Result<(Vec<bool>, Vec<SpecResults>)> {
-    let params = ctx.params();
+    let graph = &eg.graph;
     let computer = BatchComputer::new(&graph.csr)
         .with_threads(ctx.threads())
         .with_deadline(ctx.deadline_instant())
         .with_observer(Some(observer));
-    let bidir_eligible = from_index && pairs.len() == 1;
-    if specs.is_empty() {
-        if bidir_eligible {
-            let (s, d) = pairs[0];
+    let traverse = |weights: WeightSpec, want_path: bool| {
+        if let (&[(s, d)], true, WeightSpec::Unweighted) = (pairs, eg.from_index, &weights) {
             let hit = gsql_graph::bidirectional_bfs(&graph.csr, graph.reverse(), s, d);
-            observer
-                .traversal(TraversalKind::BidirBfs, hit.as_ref().map_or(0, |h| h.settled as usize));
-            return Ok((vec![hit.is_some()], Vec::new()));
-        }
-        // Reachability only: BFS, paths discarded (paper §3.2).
-        let results = computer
-            .compute(pairs, &WeightSpec::Unweighted, false)
-            .map_err(|e| graph_err(ctx, e))?;
-        let reachable = results.iter().map(|r| r.reachable).collect();
-        return Ok((reachable, Vec::new()));
-    }
-    let mut all = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let run = prepare_spec(spec, &graph.edges, params)?;
-        let (weight_spec, scale) = match run {
-            SpecRun::Hops { scale } => (WeightSpec::Unweighted, Some(scale)),
-            SpecRun::Weighted(w) => (w, None),
-        };
-        let results = if bidir_eligible && matches!(weight_spec, WeightSpec::Unweighted) {
-            let (s, d) = pairs[0];
-            let hit = gsql_graph::bidirectional_bfs(&graph.csr, graph.reverse(), s, d);
-            observer
-                .traversal(TraversalKind::BidirBfs, hit.as_ref().map_or(0, |h| h.settled as usize));
-            vec![match hit {
+            let settled = hit.as_ref().map_or(0, |h| h.settled as usize);
+            observer.traversal(TraversalKind::BidirBfs, settled);
+            return Ok(vec![match hit {
                 Some(hit) => PairResult {
                     reachable: true,
                     cost: Some(CostValue::Int(hit.dist as i64)),
-                    path: spec.want_path.then_some(hit.path),
+                    path: want_path.then_some(hit.path),
                 },
                 None => PairResult { reachable: false, cost: None, path: None },
-            }]
-        } else {
-            computer.compute(pairs, &weight_spec, spec.want_path).map_err(|e| graph_err(ctx, e))?
+            }]);
+        }
+        computer.compute(pairs, &weights, want_path).map_err(|e| graph_err(ctx, e))
+    };
+    if specs.is_empty() {
+        // Reachability only: BFS, paths discarded (paper §3.2).
+        let results = traverse(WeightSpec::Unweighted, false)?;
+        return Ok((results.iter().map(|r| r.reachable).collect(), Vec::new()));
+    }
+    let mut all = Vec::with_capacity(specs.len());
+    for (spec, scale) in specs.iter().zip(scales) {
+        let weights = match scale {
+            Some(_) => WeightSpec::Unweighted,
+            None => edge_weights(spec, &graph.edges, ctx.params())?,
         };
         all.push(SpecResults {
-            results,
+            results: traverse(weights, spec.want_path)?,
             scale,
             want_path: spec.want_path,
             cost_ty: spec.weight_ty,
@@ -404,51 +475,24 @@ pub fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table>> {
     }
 }
 
-/// Obtain the graph for an edge plan — from a matching, fresh path or
-/// graph index when one exists, otherwise by building it now.
-///
-/// Index usage comes in three flavours: the optimizer-planned
-/// [`LogicalPlan::PathIndexedGraph`] hint (the returned [`PathIndexData`]
-/// carries the acceleration index — ALT landmarks or a contraction
-/// hierarchy), the optimizer-planned [`LogicalPlan::IndexedGraph`] hint,
-/// and a runtime lookup for plain `Scan` edges (plans produced without a
-/// session context). All honour the context's index flags, whose accessors
-/// return `None` when the setting is off.
+/// Obtain the graph for an edge plan: from the fresh registry entry an
+/// [`LogicalPlan::IndexedGraph`] names — with the accelerated data of a
+/// path index — or, for a plain scan or an index dropped since planning,
+/// by building it now. Index use honours the context's index settings.
 fn obtain_graph(
     ex: &Executor<'_>,
     edge: &LogicalPlan,
     src_key: usize,
     dst_key: usize,
-) -> Result<(Arc<MaterializedGraph>, bool, Option<Arc<PathIndexData>>)> {
+) -> Result<EdgeGraph> {
     let ctx = ex.ctx();
-    if let (LogicalPlan::PathIndexedGraph { index, .. }, Some(registry)) =
-        (edge, ctx.path_indexes())
-    {
-        if let Some(data) = registry.data_by_name(ctx.catalog(), index, ctx.threads())? {
-            let graph = Arc::clone(&data.graph);
-            return Ok((graph, true, Some(data)));
-        }
-        // Index dropped since planning: fall through to the scan fallback
-        // built into the PathIndexedGraph executor arm.
-    }
-    if let (LogicalPlan::IndexedGraph { index, .. }, Some(registry)) = (edge, ctx.indexes()) {
-        if let Some(graph) = registry.graph_by_name(ctx.catalog(), index, ctx.threads())? {
-            return Ok((graph, true, None));
-        }
-    }
-    if let (LogicalPlan::Scan { table, schema }, Some(registry)) = (edge, ctx.indexes()) {
-        let src_name = &schema.column(src_key).name;
-        let dst_name = &schema.column(dst_key).name;
-        if let Some(graph) = registry.lookup(
-            ctx.catalog(),
-            table,
-            src_name,
-            dst_name,
-            src_key,
-            dst_key,
-            ctx.threads(),
-        )? {
-            return Ok((graph, true, None));
+    if let LogicalPlan::IndexedGraph { index, kind, .. } = edge {
+        let family = IndexFamily::of(*kind);
+        if let Some(registry) = ctx.indexes(family) {
+            if let Some(built) = registry.fetch(ctx.catalog(), family, index, ctx.threads())? {
+                let graph = Arc::clone(built.graph());
+                return Ok(EdgeGraph { graph, from_index: true, accel: built.accel().cloned() });
+            }
         }
     }
     let edges = ex.execute(edge)?;
@@ -467,177 +511,7 @@ fn obtain_graph(
             Err(_) => t.end(id),
         }
     }
-    Ok((Arc::new(built?), false, None))
-}
-
-/// Run a single-pair batch through the accelerated search (ALT or CH,
-/// whichever the index was built as) when the index covers every spec.
-/// Returns `None` when any spec turns out ineligible at runtime (e.g. the
-/// index was recreated with a different weight column between planning and
-/// execution) — the caller falls back to the plain traversals, which are
-/// always correct.
-fn run_specs_accel(
-    ex: &Executor<'_>,
-    data: &PathIndexData,
-    pair: (u32, u32),
-    specs: &[CheapestSpec],
-    params: &[Value],
-) -> Result<Option<(Vec<bool>, Vec<SpecResults>)>> {
-    if !specs.iter().all(|s| crate::optimize::spec_accel_eligible(s, data.weight_key)) {
-        return Ok(None);
-    }
-    let ctx = ex.ctx();
-    let span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "traversal"));
-    let (s, d) = pair;
-    let mut settled_total = 0usize;
-    let mut all = Vec::with_capacity(specs.len());
-    let mut reachable = Vec::new();
-    if specs.is_empty() {
-        // Reachability probe: one accelerated search over the index's
-        // native weights; a finite distance means connected.
-        let (dist, settled) = data.search(s, d);
-        settled_total += settled;
-        reachable.push(dist.is_some());
-    }
-    if !specs.is_empty() {
-        // Mirrors `prepare_spec`: a constant weight scales the hop count
-        // (validated strictly positive with the same error), a matching
-        // weight column uses the index's prevalidated weights. Eligibility
-        // pins constant specs to hop indexes, so every spec is served by
-        // the index's native search — hop distances there — and one search
-        // covers them all.
-        let mut scales = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let scale = if spec.weight.is_constant() {
-                let v = eval_const(&spec.weight, params)?;
-                let positive = match &v {
-                    Value::Int(x) => *x > 0,
-                    Value::Double(x) => *x > 0.0 && x.is_finite(),
-                    _ => false,
-                };
-                if !positive {
-                    return Err(Error::Graph(GraphError::NonPositiveWeight {
-                        edge_row: 0,
-                        weight: v.to_string(),
-                    }));
-                }
-                Some(v)
-            } else {
-                None
-            };
-            scales.push(scale);
-        }
-        let (dist, settled) = data.search(s, d);
-        settled_total += settled;
-        reachable.push(dist.is_some());
-        for (spec, scale) in specs.iter().zip(scales) {
-            all.push(SpecResults {
-                results: vec![PairResult {
-                    reachable: dist.is_some(),
-                    cost: dist.map(|c| CostValue::Int(c as i64)),
-                    path: None,
-                }],
-                scale,
-                want_path: false,
-                cost_ty: spec.weight_ty,
-            });
-        }
-    }
-    if let Some(m) = ctx.metrics() {
-        m.record_traversal(data.kind_name(), settled_total as u64);
-    }
-    if let (Some(t), Some(id)) = (ctx.trace(), span) {
-        t.end_with(
-            id,
-            vec![
-                ("kind".to_string(), TraceValue::from(data.kind_name())),
-                ("pairs".to_string(), TraceValue::from(1i64)),
-                ("settled".to_string(), TraceValue::from(settled_total as i64)),
-            ],
-        );
-    }
-    ctx.record_op_detail(data.analyze_detail(settled_total));
-    Ok(Some((reachable, all)))
-}
-
-/// Run a multi-pair batch through the index's many-to-many tier: bucket
-/// CH (`S + T` upward searches for the whole matrix) or multi-target ALT
-/// (one goal-directed search per distinct source). Same eligibility and
-/// fallback contract as [`run_specs_accel`]; costs are bit-identical to
-/// the per-source Dijkstra fallback at every thread count. An expired
-/// statement deadline surfaces as the statement's timeout error, matching
-/// `BatchComputer`.
-fn run_specs_accel_batch(
-    ex: &Executor<'_>,
-    data: &PathIndexData,
-    pairs: &[(u32, u32)],
-    specs: &[CheapestSpec],
-    params: &[Value],
-) -> Result<Option<(Vec<bool>, Vec<SpecResults>)>> {
-    if !specs.iter().all(|s| crate::optimize::spec_accel_eligible(s, data.weight_key)) {
-        return Ok(None);
-    }
-    // Validate constant scales up front (mirrors `prepare_spec`, same
-    // error), before any traversal work runs.
-    let mut scales = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let scale = if spec.weight.is_constant() {
-            let v = eval_const(&spec.weight, params)?;
-            let positive = match &v {
-                Value::Int(x) => *x > 0,
-                Value::Double(x) => *x > 0.0 && x.is_finite(),
-                _ => false,
-            };
-            if !positive {
-                return Err(Error::Graph(GraphError::NonPositiveWeight {
-                    edge_row: 0,
-                    weight: v.to_string(),
-                }));
-            }
-            Some(v)
-        } else {
-            None
-        };
-        scales.push(scale);
-    }
-    let ctx = ex.ctx();
-    let span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "traversal"));
-    let batch = data
-        .search_batch(pairs, ctx.threads(), ctx.deadline_instant())
-        .ok_or_else(|| ctx.timeout_error())?;
-    if let Some(m) = ctx.metrics() {
-        m.record_traversal(batch.kind, batch.settled as u64);
-    }
-    if let (Some(t), Some(id)) = (ctx.trace(), span) {
-        t.end_with(
-            id,
-            vec![
-                ("kind".to_string(), TraceValue::from(batch.kind)),
-                ("pairs".to_string(), TraceValue::from(pairs.len() as i64)),
-                ("settled".to_string(), TraceValue::from(batch.settled as i64)),
-            ],
-        );
-    }
-    let reachable: Vec<bool> = batch.dist.iter().map(|d| d.is_some()).collect();
-    let mut all = Vec::with_capacity(specs.len());
-    for (spec, scale) in specs.iter().zip(scales) {
-        all.push(SpecResults {
-            results: batch
-                .dist
-                .iter()
-                .map(|d| PairResult {
-                    reachable: d.is_some(),
-                    cost: d.map(|c| CostValue::Int(c as i64)),
-                    path: None,
-                })
-                .collect(),
-            scale,
-            want_path: false,
-            cost_ty: spec.weight_ty,
-        });
-    }
-    ctx.record_op_detail(batch.detail);
-    Ok(Some((reachable, all)))
+    Ok(EdgeGraph { graph: Arc::new(built?), from_index: false, accel: None })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -659,34 +533,34 @@ fn execute_graph_select(
     // columns are typed by the edge key. Otherwise: materialize the input,
     // then map X/Y into the dense domain, dropping rows whose endpoints
     // are not vertices (the "initial filtering" of §3.1).
-    let (input_table, x_col, y_col, graph, from_index, accel_data) =
-        if pipeline::fusion_eligible(ex.ctx(), input) {
-            let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
-            let key_ty = graph.edges.schema().column(src_key).ty;
-            let (input_table, mut cols) = match pipeline::execute_with_extra_columns(
-                ex,
-                input,
-                &[(source, key_ty), (dest, key_ty)],
-            )? {
-                Some(fused) => fused,
-                None => {
-                    let t = ex.execute(input)?;
-                    let x = eval_to_column(source, &t, ex.ctx().params(), key_ty)?;
-                    let y = eval_to_column(dest, &t, ex.ctx().params(), key_ty)?;
-                    (t, vec![x, y])
-                }
-            };
-            let y_col = cols.pop().expect("two extra columns");
-            let x_col = cols.pop().expect("two extra columns");
-            (input_table, x_col, y_col, graph, from_index, accel_data)
-        } else {
-            let input_table = ex.execute(input)?;
-            let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
-            let key_ty = graph.edges.schema().column(src_key).ty;
-            let x_col = eval_to_column(source, &input_table, ex.ctx().params(), key_ty)?;
-            let y_col = eval_to_column(dest, &input_table, ex.ctx().params(), key_ty)?;
-            (input_table, x_col, y_col, graph, from_index, accel_data)
+    let (input_table, x_col, y_col, eg) = if pipeline::fusion_eligible(ex.ctx(), input) {
+        let eg = obtain_graph(ex, edge, src_key, dst_key)?;
+        let key_ty = eg.graph.edges.schema().column(src_key).ty;
+        let (input_table, mut cols) = match pipeline::execute_with_extra_columns(
+            ex,
+            input,
+            &[(source, key_ty), (dest, key_ty)],
+        )? {
+            Some(fused) => fused,
+            None => {
+                let t = ex.execute(input)?;
+                let x = eval_to_column(source, &t, ex.ctx().params(), key_ty)?;
+                let y = eval_to_column(dest, &t, ex.ctx().params(), key_ty)?;
+                (t, vec![x, y])
+            }
         };
+        let y_col = cols.pop().expect("two extra columns");
+        let x_col = cols.pop().expect("two extra columns");
+        (input_table, x_col, y_col, eg)
+    } else {
+        let input_table = ex.execute(input)?;
+        let eg = obtain_graph(ex, edge, src_key, dst_key)?;
+        let key_ty = eg.graph.edges.schema().column(src_key).ty;
+        let x_col = eval_to_column(source, &input_table, ex.ctx().params(), key_ty)?;
+        let y_col = eval_to_column(dest, &input_table, ex.ctx().params(), key_ty)?;
+        (input_table, x_col, y_col, eg)
+    };
+    let graph = &eg.graph;
     let mut candidates: Vec<usize> = Vec::new();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     for row in 0..input_table.row_count() {
@@ -697,22 +571,7 @@ fn execute_graph_select(
         candidates.push(row);
         pairs.push((sid, did));
     }
-
-    // Requests route through the accelerated search when a covering path
-    // index is attached — single pairs through the point-to-point tier,
-    // multi-pair batches through the many-to-many tier; everything else
-    // (ineligible specs, dropped index) takes the plain traversals.
-    let accelerated = match (&accel_data, pairs.len()) {
-        (Some(data), 1) => run_specs_accel(ex, data, pairs[0], specs, ex.ctx().params())?,
-        (Some(data), n) if n > 1 => {
-            run_specs_accel_batch(ex, data, &pairs, specs, ex.ctx().params())?
-        }
-        _ => None,
-    };
-    let (reachable, spec_results) = match accelerated {
-        Some(result) => result,
-        None => run_specs(&graph, &pairs, specs, ex.ctx(), from_index)?,
-    };
+    let (reachable, spec_results) = run_traversals(&eg, &pairs, specs, ex.ctx())?;
 
     let kept: Vec<usize> = (0..pairs.len()).filter(|&i| reachable[i]).collect();
     let kept_input_rows: Vec<usize> = kept.iter().map(|&i| candidates[i]).collect();
@@ -738,27 +597,28 @@ fn execute_graph_join(
 ) -> Result<Arc<Table>> {
     // GraphJoin is the batched many-to-many shape; a covering path index
     // serves the whole distinct-source × distinct-dest matrix through the
-    // bucket-CH / multi-target-ALT tier below. Pipelinable sides evaluate
-    // their vertex expression inside their own fused pass (see
+    // bucket-CH / multi-target-ALT tier of `run_traversals`. Pipelinable
+    // sides evaluate their vertex expression inside their own fused pass (see
     // `execute_graph_select`); that reorders graph acquisition first, so
     // only do it when a side actually fuses.
     let ctx = ex.ctx();
     let fuse = pipeline::fusion_eligible(ctx, left) || pipeline::fusion_eligible(ctx, right);
-    let (left_table, right_table, x_col, y_col, graph, from_index, accel_data) = if fuse {
-        let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
-        let key_ty = graph.edges.schema().column(src_key).ty;
+    let (left_table, right_table, x_col, y_col, eg) = if fuse {
+        let eg = obtain_graph(ex, edge, src_key, dst_key)?;
+        let key_ty = eg.graph.edges.schema().column(src_key).ty;
         let (left_table, x_col) = graph_side(ex, left, source, key_ty)?;
         let (right_table, y_col) = graph_side(ex, right, dest, key_ty)?;
-        (left_table, right_table, x_col, y_col, graph, from_index, accel_data)
+        (left_table, right_table, x_col, y_col, eg)
     } else {
         let left_table = ex.execute(left)?;
         let right_table = ex.execute(right)?;
-        let (graph, from_index, accel_data) = obtain_graph(ex, edge, src_key, dst_key)?;
-        let key_ty = graph.edges.schema().column(src_key).ty;
+        let eg = obtain_graph(ex, edge, src_key, dst_key)?;
+        let key_ty = eg.graph.edges.schema().column(src_key).ty;
         let x_col = eval_to_column(source, &left_table, ctx.params(), key_ty)?;
         let y_col = eval_to_column(dest, &right_table, ctx.params(), key_ty)?;
-        (left_table, right_table, x_col, y_col, graph, from_index, accel_data)
+        (left_table, right_table, x_col, y_col, eg)
     };
+    let graph = &eg.graph;
 
     // Distinct vertex ids on each side, with their row lists.
     let mut left_ids: Vec<(usize, u32)> = Vec::new();
@@ -787,16 +647,7 @@ fn execute_graph_join(
             pairs.push((s, d));
         }
     }
-    let accelerated = match &accel_data {
-        Some(data) if !pairs.is_empty() => {
-            run_specs_accel_batch(ex, data, &pairs, specs, ex.ctx().params())?
-        }
-        _ => None,
-    };
-    let (reachable, spec_results) = match accelerated {
-        Some(result) => result,
-        None => run_specs(&graph, &pairs, specs, ex.ctx(), from_index)?,
-    };
+    let (reachable, spec_results) = run_traversals(&eg, &pairs, specs, ctx)?;
     let pair_index: HashMap<(u32, u32), usize> =
         pairs.iter().copied().enumerate().map(|(i, p)| (p, i)).collect();
 

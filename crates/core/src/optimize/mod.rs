@@ -13,7 +13,8 @@
 //!    that never materializes the product.
 
 use crate::context::ExecContext;
-use crate::plan::{BinaryOp, BoundExpr, JoinKind, LogicalPlan};
+use crate::path_index::{IndexFamily, PathIndexKind};
+use crate::plan::{BinaryOp, BoundExpr, CheapestSpec, JoinKind, LogicalPlan};
 
 /// Optimize a plan (applies all rules bottom-up until a fixpoint).
 pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
@@ -27,25 +28,11 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 }
 
 /// Context-aware optimization: the structural rules of [`optimize`], plus
-/// index selection — when the session's `path_index` setting is on, an
-/// eligible graph select or graph join whose edge scan is covered by a
-/// registered path index routes through
-/// [`LogicalPlan::PathIndexedGraph`]; when `graph_index` is on, remaining
-/// graph-operator edge scans covered by a graph index become
-/// [`LogicalPlan::IndexedGraph`]. Both decisions are visible in `EXPLAIN`,
-/// so `SET path_index = off` / `SET graph_index = off` change the rendered
-/// plan.
+/// index selection (`annotate_indexed_edges`). The decision is visible
+/// in `EXPLAIN`, so `SET path_index = off` / `SET graph_index = off`
+/// change the rendered plan.
 pub fn optimize_with(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPlan {
-    let mut plan = optimize(plan);
-    // Path indexes first: they subsume the graph index (same cached graph)
-    // and add the goal-directed search, so an eligible plan prefers them.
-    if let Some(registry) = ctx.path_indexes() {
-        plan = annotate_path_indexed_edges(plan, registry);
-    }
-    match ctx.indexes() {
-        Some(registry) => annotate_indexed_edges(plan, registry),
-        None => plan,
-    }
+    annotate_indexed_edges(optimize(plan), ctx)
 }
 
 /// True when a `CHEAPEST SUM` spec can be answered by an acceleration
@@ -54,10 +41,7 @@ pub fn optimize_with(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPlan {
 /// results must stay byte-identical), and the weight is either constant
 /// (hop scaling — only valid over a hop index) or exactly the index's
 /// integer weight column.
-pub(crate) fn spec_accel_eligible(
-    spec: &crate::plan::CheapestSpec,
-    weight_key: Option<usize>,
-) -> bool {
+pub(crate) fn spec_accel_eligible(spec: &CheapestSpec, weight_key: Option<usize>) -> bool {
     if spec.want_path {
         return false;
     }
@@ -70,50 +54,66 @@ pub(crate) fn spec_accel_eligible(
     )
 }
 
-/// Replace the edge scan of eligible graph operators with
-/// [`LogicalPlan::PathIndexedGraph`]. Both shapes qualify: point-to-point
-/// `GraphSelect` routes through the single-pair accelerated search, and
-/// the batched many-to-many `GraphJoin` (and multi-pair selects) through
-/// the bucket-based CH / multi-target ALT batch tier.
-fn annotate_path_indexed_edges(
-    plan: LogicalPlan,
-    registry: &crate::path_index::PathIndexRegistry,
-) -> LogicalPlan {
-    use crate::path_index::PathIndexKind;
-    let plan = map_children(plan, |p| annotate_path_indexed_edges(p, registry));
-    let edge_to_index = |edge: Box<LogicalPlan>, src_key: usize, dst_key: usize, specs: &[_]| {
-        if let LogicalPlan::Scan { table, schema: edge_schema } = edge.as_ref() {
-            let src_name = &edge_schema.column(src_key).name;
-            let dst_name = &edge_schema.column(dst_key).name;
-            // Several indexes may cover this edge configuration
-            // (hop-distance vs weighted, ALT vs CH). Of the ones whose
-            // weight configuration serves every spec, a contraction
-            // hierarchy beats a landmark index (near-constant search cones
-            // vs goal-directed pruning); within a kind, name order keeps
-            // the choice deterministic.
-            let eligible: Vec<_> = registry
-                .find_indexes(table, src_name, dst_name)
-                .into_iter()
+/// Replace the edge scan of graph operators covered by a registered index
+/// with [`LogicalPlan::IndexedGraph`].
+///
+/// With `path_index` on, a path index whose weight configuration serves
+/// every spec wins: a contraction hierarchy before a landmark index
+/// (near-constant search cones vs goal-directed pruning), the first by
+/// name within a kind. Both operator shapes qualify — a point-to-point
+/// `GraphSelect` routes through the single-pair search, the batched
+/// `GraphJoin` (and multi-pair selects) through the many-to-many tier.
+/// Otherwise, with `graph_index` on, the first graph index by name serves
+/// the cached graph.
+fn annotate_indexed_edges(plan: LogicalPlan, ctx: &ExecContext<'_>) -> LogicalPlan {
+    let path = ctx.indexes(IndexFamily::Path);
+    let Some(registry) = path.or(ctx.indexes(IndexFamily::Graph)) else {
+        return plan;
+    };
+    let graph_on = ctx.indexes(IndexFamily::Graph).is_some();
+    let choose =
+        |edge: Box<LogicalPlan>, src_key: usize, dst_key: usize, specs: &[CheapestSpec]| {
+            let LogicalPlan::Scan { table, schema } = edge.as_ref() else {
+                return edge;
+            };
+            let found = registry.find_indexes(
+                table,
+                &schema.column(src_key).name,
+                &schema.column(dst_key).name,
+            );
+            let accelerated: Vec<_> = found
+                .iter()
+                .filter(|meta| path.is_some() && meta.kind.is_some())
                 .filter(|meta| specs.iter().all(|s| spec_accel_eligible(s, meta.weight_key)))
                 .collect();
-            let chosen = eligible
+            let chosen = accelerated
                 .iter()
-                .find(|meta| meta.kind == PathIndexKind::Contraction)
-                .or_else(|| eligible.first());
-            if let Some(meta) = chosen {
-                return Box::new(LogicalPlan::PathIndexedGraph {
+                .find(|meta| meta.kind == Some(PathIndexKind::Contraction))
+                .or(accelerated.first())
+                .copied()
+                .or_else(|| found.iter().find(|meta| graph_on && meta.kind.is_none()));
+            match chosen {
+                Some(meta) => Box::new(LogicalPlan::IndexedGraph {
                     index: meta.name.clone(),
                     table: table.clone(),
                     kind: meta.kind,
-                    schema: edge_schema.clone(),
-                });
+                    schema: schema.clone(),
+                }),
+                None => edge,
             }
-        }
-        edge
-    };
-    match plan {
+        };
+    annotate_edges(plan, &choose)
+}
+
+/// Apply `choose(edge, src_key, dst_key, specs)` to the edge child of every
+/// graph operator in `plan`.
+fn annotate_edges(
+    plan: LogicalPlan,
+    choose: &impl Fn(Box<LogicalPlan>, usize, usize, &[CheapestSpec]) -> Box<LogicalPlan>,
+) -> LogicalPlan {
+    match map_children(plan, |p| annotate_edges(p, choose)) {
         LogicalPlan::GraphSelect { input, edge, src_key, dst_key, source, dest, specs, schema } => {
-            let edge = edge_to_index(edge, src_key, dst_key, &specs);
+            let edge = choose(edge, src_key, dst_key, &specs);
             LogicalPlan::GraphSelect { input, edge, src_key, dst_key, source, dest, specs, schema }
         }
         LogicalPlan::GraphJoin {
@@ -127,7 +127,7 @@ fn annotate_path_indexed_edges(
             specs,
             schema,
         } => {
-            let edge = edge_to_index(edge, src_key, dst_key, &specs);
+            let edge = choose(edge, src_key, dst_key, &specs);
             LogicalPlan::GraphJoin {
                 left,
                 right,
@@ -144,64 +144,6 @@ fn annotate_path_indexed_edges(
     }
 }
 
-/// Recursively replace indexed edge scans under graph operators.
-fn annotate_indexed_edges(
-    plan: LogicalPlan,
-    registry: &crate::graph_index::GraphIndexRegistry,
-) -> LogicalPlan {
-    let plan = map_children(plan, |p| annotate_indexed_edges(p, registry));
-    let edge_to_index = |edge: Box<LogicalPlan>, src_key: usize, dst_key: usize| {
-        if let LogicalPlan::Scan { table, schema } = edge.as_ref() {
-            let src_name = &schema.column(src_key).name;
-            let dst_name = &schema.column(dst_key).name;
-            if let Some(index) = registry.find_index(table, src_name, dst_name) {
-                return Box::new(LogicalPlan::IndexedGraph {
-                    index,
-                    table: table.clone(),
-                    schema: schema.clone(),
-                });
-            }
-        }
-        edge
-    };
-    match plan {
-        LogicalPlan::GraphSelect { input, edge, src_key, dst_key, source, dest, specs, schema } => {
-            LogicalPlan::GraphSelect {
-                input,
-                edge: edge_to_index(edge, src_key, dst_key),
-                src_key,
-                dst_key,
-                source,
-                dest,
-                specs,
-                schema,
-            }
-        }
-        LogicalPlan::GraphJoin {
-            left,
-            right,
-            edge,
-            src_key,
-            dst_key,
-            source,
-            dest,
-            specs,
-            schema,
-        } => LogicalPlan::GraphJoin {
-            left,
-            right,
-            edge: edge_to_index(edge, src_key, dst_key),
-            src_key,
-            dst_key,
-            source,
-            dest,
-            specs,
-            schema,
-        },
-        other => other,
-    }
-}
-
 fn rewrite(plan: LogicalPlan) -> LogicalPlan {
     // Recurse into children first (bottom-up).
     let plan = map_children(plan, rewrite);
@@ -213,9 +155,7 @@ fn rewrite(plan: LogicalPlan) -> LogicalPlan {
 fn map_children(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan + Copy) -> LogicalPlan {
     use LogicalPlan::*;
     match plan {
-        SingleRow | Scan { .. } | IndexedGraph { .. } | PathIndexedGraph { .. } | Values { .. } => {
-            plan
-        }
+        SingleRow | Scan { .. } | IndexedGraph { .. } | Values { .. } => plan,
         Filter { input, predicate } => Filter { input: Box::new(f(*input)), predicate },
         Project { input, exprs, schema } => Project { input: Box::new(f(*input)), exprs, schema },
         Join { left, right, kind, on, schema } => {

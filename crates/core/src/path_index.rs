@@ -1,29 +1,38 @@
-//! Path indexes — the catalog layer of the path-acceleration subsystem.
+//! The index registry: graph indexes and path indexes — the paper's §6
+//! future work, implemented.
 //!
-//! A path index, created with `CREATE PATH INDEX name ON table EDGE (s, d)
-//! [WEIGHT col] USING {LANDMARKS(k) | CONTRACTION}`, precomputes everything
-//! a point-to-point shortest-path query needs:
+//! > "We are investigating how to expand our system with the option of
+//! > creating special 'graph' indices. These indices will store the full
+//! > graph, ready to be used when a query matches the edge table that
+//! > generated the graph. Nevertheless, they also need to be amenable to
+//! > the updates on the underlying tables."
 //!
-//! * the [`MaterializedGraph`] (snapshot + dictionary + CSR) and its
-//!   reverse CSR;
-//! * the per-slot weight arrays of both directions (when a `WEIGHT` column
-//!   is given; validated strictly positive and integral at build time);
-//! * one **acceleration index** ([`AccelIndex`]) of the declared kind — an
-//!   ALT [`Landmarks`] set for goal-directed bidirectional A\*, or a
-//!   [`ContractionHierarchy`] for bidirectional upward Dijkstra with
-//!   stall-on-demand.
+//! One [`IndexRegistry`] holds both SQL families. Every entry names an edge
+//! configuration `(table, src, dst)`, an optional weight column and an
+//! optional accelerator, and caches its built data against the catalog's
+//! per-table **version counter**:
 //!
-//! Both kinds answer single-pair queries with costs **bit-identical** to
-//! plain Dijkstra; they differ only in preprocessing cost and per-query
-//! pruning, so the optimizer may pick freely ([`PathIndexKind`] carries the
-//! choice through planning, `EXPLAIN` and the executor).
+//! * `CREATE GRAPH INDEX name ON table EDGE (s, d)` registers an entry with
+//!   no accelerator. It caches the [`MaterializedGraph`] (snapshot +
+//!   dictionary + CSR), so a matching query skips graph construction.
+//! * `CREATE PATH INDEX name ON table EDGE (s, d) [WEIGHT col] USING
+//!   {LANDMARKS(k) | CONTRACTION}` registers an entry with an accelerator.
+//!   It caches a [`PathIndexData`]: the graph and its reverse CSR, the
+//!   per-slot weight arrays of both directions (validated strictly
+//!   positive and integral at build time), and one **acceleration index**
+//!   ([`AccelIndex`]) — an ALT [`Landmarks`] set for goal-directed
+//!   bidirectional A\*, or a [`ContractionHierarchy`] for bidirectional
+//!   upward Dijkstra with stall-on-demand. Both kinds answer queries with
+//!   costs **bit-identical** to plain Dijkstra, so the optimizer may pick
+//!   freely ([`PathIndexKind`] carries the choice through planning,
+//!   `EXPLAIN` and the executor).
 //!
-//! Invalidation mirrors the graph-index registry: entries cache against the
-//! catalog's per-table **version counter** (any DML bumps it; the next
-//! query rebuilds lazily), and the registry's own **structural version**
-//! participates in [`Database::schema_version`](crate::Database::
-//! schema_version), so cached plans that decided for or against a path
-//! index are invalidated by `CREATE`/`DROP PATH INDEX`.
+//! The two families keep separate name spaces ([`IndexFamily`]). Any DML
+//! bumps the table version, and the next query that needs the entry
+//! rebuilds it lazily. The registry's one **structural version**, bumped on
+//! every create and drop, participates in
+//! [`Database::schema_version`](crate::Database::schema_version), so cached
+//! plans that decided for or against an index are invalidated.
 
 use crate::error::{bind_err, Error};
 use crate::exec::graph_op::{build_graph_with_threads, MaterializedGraph};
@@ -31,11 +40,12 @@ use gsql_accel::{
     alt_multi_target, ch_many_to_many, ch_query, AltMultiResult, ContractionHierarchy, Landmarks,
 };
 use gsql_parallel::Pool;
+use gsql_storage::catalog::TableEntry;
 use gsql_storage::{Catalog, Column, DataType};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 type Result<T> = std::result::Result<T, Error>;
@@ -310,15 +320,70 @@ pub struct BatchSearch {
     pub detail: String,
 }
 
-/// Planner-visible description of a registered path index.
+/// The SQL family of an index. The families keep separate name spaces:
+/// `CREATE GRAPH INDEX gi` and `CREATE PATH INDEX gi` may coexist, and
+/// `DROP GRAPH INDEX` never drops a path index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum IndexFamily {
+    /// `CREATE GRAPH INDEX`: the cached graph, no accelerator.
+    Graph,
+    /// `CREATE PATH INDEX`: the cached graph plus an accelerator.
+    Path,
+}
+
+impl IndexFamily {
+    /// The family of an entry whose accelerator is `accel`.
+    pub fn of(accel: Option<PathIndexKind>) -> IndexFamily {
+        match accel {
+            None => IndexFamily::Graph,
+            Some(_) => IndexFamily::Path,
+        }
+    }
+
+    fn noun(self) -> &'static str {
+        match self {
+            IndexFamily::Graph => "graph index",
+            IndexFamily::Path => "path index",
+        }
+    }
+}
+
+/// The built data of one registry entry.
+#[derive(Debug, Clone)]
+pub(crate) enum BuiltIndex {
+    /// A graph index: the materialized graph alone.
+    Graph(Arc<MaterializedGraph>),
+    /// A path index: the graph with its accelerator.
+    Path(Arc<PathIndexData>),
+}
+
+impl BuiltIndex {
+    /// The materialized graph.
+    pub fn graph(&self) -> &Arc<MaterializedGraph> {
+        match self {
+            BuiltIndex::Graph(graph) => graph,
+            BuiltIndex::Path(data) => &data.graph,
+        }
+    }
+
+    /// The accelerated data, for a path index.
+    pub fn accel(&self) -> Option<&Arc<PathIndexData>> {
+        match self {
+            BuiltIndex::Graph(_) => None,
+            BuiltIndex::Path(data) => Some(data),
+        }
+    }
+}
+
+/// Planner-visible description of a registered index.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathIndexMeta {
+pub struct IndexMeta {
     /// Index name (lowercased registry key).
     pub name: String,
     /// Ordinal of the weight column in the table schema, `None` for hops.
     pub weight_key: Option<usize>,
-    /// The (effective) kind the index is built as.
-    pub kind: PathIndexKind,
+    /// The (effective) accelerator kind; `None` for a graph index.
+    pub kind: Option<PathIndexKind>,
 }
 
 /// One row of `SHOW PATH INDEXES`.
@@ -335,13 +400,9 @@ pub struct PathIndexListing {
     pub status: &'static str,
 }
 
-/// The persisted form of one path-index registry entry: the definition
-/// plus, when the index was built, the data and the table version the
-/// build observed.
-#[derive(Debug)]
-pub(crate) struct PathIndexSnapshotEntry {
-    /// Lowercased registry key.
-    pub name: String,
+/// The definition of one index: everything a build reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct IndexDef {
     /// Lowercased indexed table.
     pub table: String,
     /// Source key column, as declared.
@@ -350,46 +411,59 @@ pub(crate) struct PathIndexSnapshotEntry {
     pub dst_col: String,
     /// Weight column, as declared (`None` = hop distances).
     pub weight_col: Option<String>,
+    /// The effective accelerator kind (the declared kind after the
+    /// `GSQL_PATH_INDEX_KIND` override); `None` for a graph index.
+    pub accel: Option<PathIndexKind>,
+}
+
+/// The persisted form of one registry entry: the definition plus, for a
+/// built path index, the data and the table version the build observed.
+#[derive(Debug)]
+pub(crate) struct IndexSnapshotEntry {
+    /// Lowercased registry key.
+    pub name: String,
+    /// The definition.
+    pub def: IndexDef,
     /// Ordinal of the weight column in the table schema.
     pub weight_key: Option<usize>,
-    /// The effective kind the index is built as.
-    pub kind: PathIndexKind,
-    /// `(table version when built, the data)` — `None` when stale.
+    /// `(table version when built, the data)`; always `None` for a graph
+    /// index, whose graph is cheap to rebuild lazily.
     pub built: Option<(u64, Arc<PathIndexData>)>,
 }
 
-/// One registered path index.
+/// One registered index.
 #[derive(Debug)]
 struct IndexEntry {
-    table: String,
-    src_col: String,
-    dst_col: String,
-    weight_col: Option<String>,
+    def: IndexDef,
     weight_key: Option<usize>,
-    /// The effective kind (declared kind after the CI override).
-    kind: PathIndexKind,
     /// `(table version when built, the data)`.
-    cached: Option<(u64, Arc<PathIndexData>)>,
+    cached: Option<(u64, BuiltIndex)>,
 }
 
-/// Registry of path indexes, keyed by (lowercased) index name.
+/// The registry's entries, keyed by family and lowercased name. Ordered,
+/// so listings come out sorted by family, then name.
+type Entries = BTreeMap<(IndexFamily, String), IndexEntry>;
+
+/// Registry of graph and path indexes, keyed by family and lowercased
+/// name.
 ///
-/// Carries a structural version counter bumped on create/drop, consumed by
-/// the session plan cache through `Database::schema_version`.
+/// Carries one structural version counter, bumped on every create or
+/// drop and consumed by the session plan cache through
+/// `Database::schema_version`.
 #[derive(Debug, Default)]
-pub struct PathIndexRegistry {
-    inner: RwLock<HashMap<String, IndexEntry>>,
+pub struct IndexRegistry {
+    inner: RwLock<Entries>,
     version: AtomicU64,
-    /// Full index builds performed by this process (eager creates plus lazy
-    /// rebuilds). A warm restart from a matching snapshot leaves this at
-    /// zero — the restart benchmark and tests assert on it.
+    /// Full accelerator builds performed by this process (path-index
+    /// creates plus lazy rebuilds). A warm restart from a matching snapshot
+    /// leaves this at zero — the restart benchmark and tests assert on it.
     builds: AtomicU64,
 }
 
-impl PathIndexRegistry {
+impl IndexRegistry {
     /// Empty registry.
-    pub fn new() -> PathIndexRegistry {
-        PathIndexRegistry::default()
+    pub fn new() -> IndexRegistry {
+        IndexRegistry::default()
     }
 
     /// Structural version (bumped on every create/drop).
@@ -398,8 +472,9 @@ impl PathIndexRegistry {
     }
 
     /// How many full acceleration-index builds this process has run
-    /// (creates and lazy rebuilds). Restoring built indexes from a
-    /// snapshot does not count: that is the warm-start guarantee.
+    /// (creates and lazy rebuilds). Graph-index builds and restoring built
+    /// indexes from a snapshot do not count: the latter is the warm-start
+    /// guarantee.
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Acquire)
     }
@@ -408,93 +483,110 @@ impl PathIndexRegistry {
         self.version.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Every index covering `(table, src_col, dst_col)`, sorted by name so
-    /// planning is deterministic (matching is case-insensitive). Several
-    /// indexes may cover one edge configuration — e.g. a hop index and a
-    /// weighted index, or an ALT and a CH index — and the optimizer picks
-    /// among the ones whose weight configuration the query's specs can
-    /// actually use.
-    pub fn find_indexes(&self, table: &str, src_col: &str, dst_col: &str) -> Vec<PathIndexMeta> {
-        let table_key = table.to_ascii_lowercase();
-        let inner = self.inner.read().expect("registry lock poisoned");
-        let mut found: Vec<PathIndexMeta> = inner
-            .iter()
-            .filter(|(_, e)| {
-                e.table == table_key
-                    && e.src_col.eq_ignore_ascii_case(src_col)
-                    && e.dst_col.eq_ignore_ascii_case(dst_col)
-            })
-            .map(|(name, e)| PathIndexMeta {
-                name: name.clone(),
-                weight_key: e.weight_key,
-                kind: e.kind,
-            })
-            .collect();
-        found.sort_by(|a, b| a.name.cmp(&b.name));
-        found
+    fn read(&self) -> RwLockReadGuard<'_, Entries> {
+        self.inner.read().expect("registry lock poisoned")
     }
 
-    /// Fetch the (fresh) data of the index named `name`, rebuilding a stale
-    /// cache entry with `threads` workers. `None` when the index no longer
-    /// exists — callers fall back to the unaccelerated path.
+    fn write(&self) -> RwLockWriteGuard<'_, Entries> {
+        self.inner.write().expect("registry lock poisoned")
+    }
+
+    /// Every index of either family covering `(table, src_col, dst_col)`,
+    /// sorted by family, then name, so planning is deterministic (matching
+    /// is case-insensitive). Several indexes may cover one edge
+    /// configuration — e.g. a graph index, a hop path index and a weighted
+    /// one — and the optimizer picks among them.
+    pub fn find_indexes(&self, table: &str, src_col: &str, dst_col: &str) -> Vec<IndexMeta> {
+        let table_key = table.to_ascii_lowercase();
+        self.read()
+            .iter()
+            .filter(|(_, e)| {
+                e.def.table == table_key
+                    && e.def.src_col.eq_ignore_ascii_case(src_col)
+                    && e.def.dst_col.eq_ignore_ascii_case(dst_col)
+            })
+            .map(|((_, name), e)| IndexMeta {
+                name: name.clone(),
+                weight_key: e.weight_key,
+                kind: e.def.accel,
+            })
+            .collect()
+    }
+
+    /// Fetch the fresh data of the `family` index `name`, rebuilding a
+    /// stale cache entry with `threads` workers (a session's `threads`
+    /// setting; parallel builds are bit-identical). `None` when the index
+    /// no longer exists — callers fall back to the unindexed path.
+    pub(crate) fn fetch(
+        &self,
+        catalog: &Catalog,
+        family: IndexFamily,
+        name: &str,
+        threads: usize,
+    ) -> Result<Option<BuiltIndex>> {
+        let key = (family, name.to_ascii_lowercase());
+        let (def, table) = {
+            let inner = self.read();
+            let Some(entry) = inner.get(&key) else {
+                return Ok(None);
+            };
+            let table = catalog.entry(&entry.def.table).map_err(Error::Storage)?;
+            if let Some((version, built)) = &entry.cached {
+                if *version == table.version {
+                    return Ok(Some(built.clone()));
+                }
+            }
+            (entry.def.clone(), table)
+        };
+        // Stale: rebuild outside the read lock from the table read above,
+        // so the stamped version is exactly the version that was built.
+        let built = self.build(&def, &table, threads)?;
+        if let Some(e) = self.write().get_mut(&key) {
+            // Skip the write-back if the index was concurrently dropped and
+            // recreated with a different definition.
+            if e.def == def {
+                e.cached = Some((table.version, built.clone()));
+            }
+        }
+        Ok(Some(built))
+    }
+
+    /// The fresh graph of the graph index `name`, rebuilding a stale cache
+    /// entry with `threads` workers. `None` when no such index exists.
+    pub fn graph_by_name(
+        &self,
+        catalog: &Catalog,
+        name: &str,
+        threads: usize,
+    ) -> Result<Option<Arc<MaterializedGraph>>> {
+        let built = self.fetch(catalog, IndexFamily::Graph, name, threads)?;
+        Ok(built.map(|b| Arc::clone(b.graph())))
+    }
+
+    /// The fresh data of the path index `name`, rebuilding a stale cache
+    /// entry with `threads` workers. `None` when no such index exists.
     pub fn data_by_name(
         &self,
         catalog: &Catalog,
         name: &str,
         threads: usize,
     ) -> Result<Option<Arc<PathIndexData>>> {
-        let key = name.to_ascii_lowercase();
-        let (table, src_col, dst_col, weight_col, kind) = {
-            let inner = self.inner.read().expect("registry lock poisoned");
-            let Some(entry) = inner.get(&key) else {
-                return Ok(None);
-            };
-            let current = catalog.entry(&entry.table).map_err(Error::Storage)?;
-            if let Some((version, data)) = &entry.cached {
-                if *version == current.version {
-                    return Ok(Some(Arc::clone(data)));
-                }
-            }
-            (
-                entry.table.clone(),
-                entry.src_col.clone(),
-                entry.dst_col.clone(),
-                entry.weight_col.clone(),
-                entry.kind,
-            )
-        };
-        // Stale: rebuild outside the read lock.
-        let entry = catalog.entry(&table).map_err(Error::Storage)?;
-        let data = Arc::new(build_data(
-            catalog,
-            &table,
-            &src_col,
-            &dst_col,
-            weight_col.as_deref(),
-            kind,
-            threads,
-        )?);
-        self.builds.fetch_add(1, Ordering::AcqRel);
-        let mut inner = self.inner.write().expect("registry lock poisoned");
-        if let Some(e) = inner.get_mut(&key) {
-            // Skip the write-back if the index was concurrently dropped and
-            // recreated over a different configuration (columns, weight or
-            // index kind).
-            if e.table == table
-                && e.src_col.eq_ignore_ascii_case(&src_col)
-                && e.dst_col.eq_ignore_ascii_case(&dst_col)
-                && e.weight_col == weight_col
-                && e.kind == kind
-            {
-                e.cached = Some((entry.version, Arc::clone(&data)));
-            }
-        }
-        Ok(Some(data))
+        let built = self.fetch(catalog, IndexFamily::Path, name, threads)?;
+        Ok(built.and_then(|b| b.accel().cloned()))
     }
 
-    /// Create an index and build its acceleration data eagerly with
-    /// `threads` workers. With `if_not_exists`, creating over an existing
-    /// name is a no-op (returns `Ok` without building).
+    fn build(&self, def: &IndexDef, table: &TableEntry, threads: usize) -> Result<BuiltIndex> {
+        let built = build_index(def, table, threads)?;
+        if def.accel.is_some() {
+            self.builds.fetch_add(1, Ordering::AcqRel);
+        }
+        Ok(built)
+    }
+
+    /// Create an index and build it eagerly with `threads` workers: a graph
+    /// index when `accel` is `None`, a path index otherwise. With
+    /// `if_not_exists`, creating over an existing name of the same family
+    /// is a no-op (returns `Ok` without building).
     #[allow(clippy::too_many_arguments)]
     pub fn create_index(
         &self,
@@ -504,12 +596,17 @@ impl PathIndexRegistry {
         src_col: &str,
         dst_col: &str,
         weight_col: Option<&str>,
-        kind: PathIndexKind,
+        accel: Option<PathIndexKind>,
         if_not_exists: bool,
         threads: usize,
     ) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        if let PathIndexKind::Landmarks(k) = kind {
+        let family = IndexFamily::of(accel);
+        let key = (family, name.to_ascii_lowercase());
+        let duplicate = || match if_not_exists {
+            true => Ok(()),
+            false => Err(bind_err!("{} '{name}' already exists", family.noun())),
+        };
+        if let Some(PathIndexKind::Landmarks(k)) = accel {
             if k == 0 || k > MAX_LANDMARKS {
                 return Err(bind_err!(
                     "LANDMARKS count must be between 1 and {MAX_LANDMARKS}, got {k}"
@@ -518,22 +615,16 @@ impl PathIndexRegistry {
         }
         // Reject duplicate names before paying for the build; the write
         // lock below re-checks to close the create/create race.
-        if self.inner.read().expect("registry lock poisoned").contains_key(&key) {
-            if if_not_exists {
-                return Ok(());
-            }
-            return Err(bind_err!("path index '{name}' already exists"));
+        if self.read().contains_key(&key) {
+            return duplicate();
         }
         let entry = catalog.entry(table).map_err(Error::Storage)?;
         let schema = entry.table.schema();
-        let src_key = schema
-            .index_of(src_col)
-            .ok_or_else(|| bind_err!("no column '{src_col}' in table '{table}'"))?;
-        let dst_key = schema
-            .index_of(dst_col)
-            .ok_or_else(|| bind_err!("no column '{dst_col}' in table '{table}'"))?;
-        let s_ty = schema.column(src_key).ty;
-        let d_ty = schema.column(dst_key).ty;
+        let column = |col: &str| {
+            schema.index_of(col).ok_or_else(|| bind_err!("no column '{col}' in table '{table}'"))
+        };
+        let s_ty = schema.column(column(src_col)?).ty;
+        let d_ty = schema.column(column(dst_col)?).ty;
         if s_ty != d_ty {
             return Err(bind_err!(
                 "EDGE columns must have matching types, found {s_ty} and {d_ty}"
@@ -545,9 +636,7 @@ impl PathIndexRegistry {
         let weight_key = match weight_col {
             None => None,
             Some(w) => {
-                let idx = schema
-                    .index_of(w)
-                    .ok_or_else(|| bind_err!("no column '{w}' in table '{table}'"))?;
+                let idx = column(w)?;
                 let ty = schema.column(idx).ty;
                 if ty != DataType::Int {
                     return Err(bind_err!(
@@ -558,57 +647,46 @@ impl PathIndexRegistry {
                 Some(idx)
             }
         };
-        let kind = effective_kind(kind);
-        let data =
-            Arc::new(build_data(catalog, table, src_col, dst_col, weight_col, kind, threads)?);
-        self.builds.fetch_add(1, Ordering::AcqRel);
+        let def = IndexDef {
+            table: table.to_ascii_lowercase(),
+            src_col: src_col.to_string(),
+            dst_col: dst_col.to_string(),
+            weight_col: weight_col.map(str::to_string),
+            accel: accel.map(effective_kind),
+        };
+        let built = self.build(&def, &entry, threads)?;
 
-        let mut inner = self.inner.write().expect("registry lock poisoned");
+        let mut inner = self.write();
         if inner.contains_key(&key) {
-            if if_not_exists {
-                return Ok(());
-            }
-            return Err(bind_err!("path index '{name}' already exists"));
+            return duplicate();
         }
-        inner.insert(
-            key,
-            IndexEntry {
-                table: table.to_ascii_lowercase(),
-                src_col: src_col.to_string(),
-                dst_col: dst_col.to_string(),
-                weight_col: weight_col.map(str::to_string),
-                weight_key,
-                kind,
-                cached: Some((entry.version, data)),
-            },
-        );
+        inner.insert(key, IndexEntry { def, weight_key, cached: Some((entry.version, built)) });
         drop(inner);
         self.bump_version();
         Ok(())
     }
 
-    /// Drop an index. With `if_exists`, dropping a missing name is a no-op.
-    pub fn drop_index(&self, name: &str, if_exists: bool) -> Result<()> {
-        let key = name.to_ascii_lowercase();
-        let mut inner = self.inner.write().expect("registry lock poisoned");
-        let removed = inner.remove(&key);
-        drop(inner);
+    /// Drop the `family` index `name`. With `if_exists`, dropping a missing
+    /// name is a no-op.
+    pub fn drop_index(&self, family: IndexFamily, name: &str, if_exists: bool) -> Result<()> {
+        let removed = self.write().remove(&(family, name.to_ascii_lowercase()));
         if removed.is_some() {
             self.bump_version();
             Ok(())
         } else if if_exists {
             Ok(())
         } else {
-            Err(bind_err!("path index '{name}' does not exist"))
+            Err(bind_err!("{} '{name}' does not exist", family.noun()))
         }
     }
 
-    /// Remove every index defined over `table` (used by `DROP TABLE`).
+    /// Remove every index of either family defined over `table` (used by
+    /// `DROP TABLE`).
     pub fn drop_indexes_for_table(&self, table: &str) {
         let key = table.to_ascii_lowercase();
-        let mut inner = self.inner.write().expect("registry lock poisoned");
+        let mut inner = self.write();
         let before = inner.len();
-        inner.retain(|_, e| e.table != key);
+        inner.retain(|_, e| e.def.table != key);
         let removed = before != inner.len();
         drop(inner);
         if removed {
@@ -616,116 +694,95 @@ impl PathIndexRegistry {
         }
     }
 
-    /// Every registered index — definition plus, when built, the cached
-    /// data and the table version it was built against — sorted by name.
-    /// This is what a snapshot checkpoint serializes: unlike graph indexes,
-    /// the built acceleration structures are persisted so a warm restart
-    /// answers accelerated queries with zero rebuild work.
-    pub(crate) fn snapshot_entries(&self) -> Vec<PathIndexSnapshotEntry> {
-        let inner = self.inner.read().expect("registry lock poisoned");
-        let mut entries: Vec<PathIndexSnapshotEntry> = inner
+    /// Every `family` entry, sorted by name: what a snapshot checkpoint
+    /// serializes. Path indexes carry their built data (when fresh or
+    /// stale alike, stamped with the version it was built against), so a
+    /// warm restart answers accelerated queries with zero rebuild work;
+    /// graph indexes carry their definition only.
+    pub(crate) fn snapshot_entries(&self, family: IndexFamily) -> Vec<IndexSnapshotEntry> {
+        self.read()
             .iter()
-            .map(|(name, e)| PathIndexSnapshotEntry {
+            .filter(|((f, _), _)| *f == family)
+            .map(|((_, name), e)| IndexSnapshotEntry {
                 name: name.clone(),
-                table: e.table.clone(),
-                src_col: e.src_col.clone(),
-                dst_col: e.dst_col.clone(),
-                weight_col: e.weight_col.clone(),
+                def: e.def.clone(),
                 weight_key: e.weight_key,
-                kind: e.kind,
-                built: e.cached.as_ref().map(|(v, d)| (*v, Arc::clone(d))),
+                built: e.cached.as_ref().and_then(|(v, b)| Some((*v, Arc::clone(b.accel()?)))),
             })
-            .collect();
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        entries
+            .collect()
     }
 
-    /// Re-register an index from a snapshot without building or bumping the
+    /// Re-register an entry from a snapshot without building or bumping the
     /// structural version. `built` carries restored data stamped with the
-    /// table version it matches; `None` (or a version that went stale)
-    /// leaves the entry for the usual lazy rebuild.
-    pub(crate) fn restore_entry(&self, snap: PathIndexSnapshotEntry) {
-        let mut inner = self.inner.write().expect("registry lock poisoned");
-        inner.insert(
-            snap.name,
+    /// table version it matches; `None` leaves the entry for the usual
+    /// lazy rebuild.
+    pub(crate) fn restore_entry(&self, snap: IndexSnapshotEntry) {
+        self.write().insert(
+            (IndexFamily::of(snap.def.accel), snap.name),
             IndexEntry {
-                table: snap.table,
-                src_col: snap.src_col,
-                dst_col: snap.dst_col,
-                weight_col: snap.weight_col,
+                def: snap.def,
                 weight_key: snap.weight_key,
-                kind: snap.kind,
-                cached: snap.built,
+                cached: snap.built.map(|(v, data)| (v, BuiltIndex::Path(data))),
             },
         );
     }
 
-    /// Restore the structural version counter recorded in a snapshot.
-    pub(crate) fn set_version(&self, version: u64) {
-        self.version.store(version, Ordering::Release);
+    /// Add a structural version recorded in a snapshot section. A restore
+    /// starts from zero, so the sections together restore the counter the
+    /// snapshot was taken at.
+    pub(crate) fn add_version(&self, version: u64) {
+        self.version.fetch_add(version, Ordering::AcqRel);
     }
 
-    /// Names of all indexes, sorted.
+    /// Names of all indexes of either family, sorted and deduplicated.
     pub fn index_names(&self) -> Vec<String> {
-        let inner = self.inner.read().expect("registry lock poisoned");
-        let mut names: Vec<String> = inner.keys().cloned().collect();
+        let mut names: Vec<String> = self.read().keys().map(|(_, name)| name.clone()).collect();
         names.sort();
+        names.dedup();
         names
     }
 
-    /// All registered indexes with kind and freshness, sorted by name — the
+    /// All path indexes with kind and freshness, sorted by name — the
     /// `SHOW PATH INDEXES` result. `stale` means the next accelerated query
     /// will rebuild the data lazily (the table mutated since the build).
     pub fn list(&self, catalog: &Catalog) -> Vec<PathIndexListing> {
-        let inner = self.inner.read().expect("registry lock poisoned");
-        let mut rows: Vec<PathIndexListing> = inner
+        self.read()
             .iter()
-            .map(|(name, e)| {
+            .filter_map(|((_, name), e)| {
+                let kind = e.def.accel?;
                 let status = match &e.cached {
-                    Some((version, _)) => match catalog.entry(&e.table) {
+                    Some((version, _)) => match catalog.entry(&e.def.table) {
                         Ok(current) if current.version == *version => "built",
                         _ => "stale",
                     },
                     None => "stale",
                 };
-                PathIndexListing {
+                Some(PathIndexListing {
                     name: name.clone(),
-                    table: e.table.clone(),
-                    kind: e.kind.to_string(),
+                    table: e.def.table.clone(),
+                    kind: kind.to_string(),
                     status,
-                }
+                })
             })
-            .collect();
-        rows.sort_by(|a, b| a.name.cmp(&b.name));
-        rows
+            .collect()
     }
 }
 
-/// Build the full per-index data set: graph, reverse CSR, validated slot
-/// weights, and the acceleration structure of the requested kind.
-fn build_data(
-    catalog: &Catalog,
-    table: &str,
-    src_col: &str,
-    dst_col: &str,
-    weight_col: Option<&str>,
-    kind: PathIndexKind,
-    threads: usize,
-) -> Result<PathIndexData> {
-    let entry = catalog.entry(table).map_err(Error::Storage)?;
+/// Build one entry's data from a pinned read of its table: the graph, and
+/// for a path index the reverse CSR, the validated slot weights and the
+/// acceleration structure of the requested kind.
+fn build_index(def: &IndexDef, entry: &TableEntry, threads: usize) -> Result<BuiltIndex> {
     let schema = entry.table.schema();
-    let src_key = schema
-        .index_of(src_col)
-        .ok_or_else(|| bind_err!("no column '{src_col}' in table '{table}'"))?;
-    let dst_key = schema
-        .index_of(dst_col)
-        .ok_or_else(|| bind_err!("no column '{dst_col}' in table '{table}'"))?;
-    let weight_key = weight_col
-        .map(|w| schema.index_of(w).ok_or_else(|| bind_err!("no column '{w}' in table '{table}'")))
-        .transpose()?;
-
+    let column = |col: &str| {
+        schema.index_of(col).ok_or_else(|| bind_err!("no column '{col}' in table '{}'", def.table))
+    };
+    let (src_key, dst_key) = (column(&def.src_col)?, column(&def.dst_col)?);
     let graph =
         Arc::new(build_graph_with_threads(Arc::clone(&entry.table), src_key, dst_key, threads)?);
+    let Some(kind) = def.accel else {
+        return Ok(BuiltIndex::Graph(graph));
+    };
+    let weight_key = def.weight_col.as_deref().map(column).transpose()?;
     let reverse = graph.reverse(); // force + cache the reverse CSR now
 
     let (weights_fwd, weights_bwd) = match weight_key {
@@ -773,7 +830,13 @@ fn build_data(
             AccelIndex::Ch(ContractionHierarchy::build(&graph.csr, weights_fwd.as_deref(), threads))
         }
     };
-    Ok(PathIndexData { graph, accel, weight_key, weights_fwd, weights_bwd })
+    Ok(BuiltIndex::Path(Arc::new(PathIndexData {
+        graph,
+        accel,
+        weight_key,
+        weights_fwd,
+        weights_bwd,
+    })))
 }
 
 #[cfg(test)]
@@ -781,7 +844,7 @@ mod tests {
     use super::*;
     use gsql_storage::{ColumnDef, Schema, Value};
 
-    fn setup() -> (Catalog, PathIndexRegistry) {
+    fn setup() -> (Catalog, IndexRegistry) {
         let catalog = Catalog::new();
         catalog
             .create_table(
@@ -801,17 +864,21 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        (catalog, PathIndexRegistry::new())
+        (catalog, IndexRegistry::new())
     }
 
     fn create(
-        reg: &PathIndexRegistry,
+        reg: &IndexRegistry,
         catalog: &Catalog,
         name: &str,
         weight: Option<&str>,
         kind: PathIndexKind,
     ) -> Result<()> {
-        reg.create_index(catalog, name, "roads", "a", "b", weight, kind, false, 2)
+        reg.create_index(catalog, name, "roads", "a", "b", weight, Some(kind), false, 2)
+    }
+
+    fn create_graph(reg: &IndexRegistry, catalog: &Catalog, name: &str) -> Result<()> {
+        reg.create_index(catalog, name, "roads", "a", "b", None, None, false, 2)
     }
 
     #[test]
@@ -857,19 +924,27 @@ mod tests {
     fn validation_errors() {
         let (catalog, reg) = setup();
         let lm = PathIndexKind::Landmarks(2);
-        assert!(reg.create_index(&catalog, "pi", "nope", "a", "b", None, lm, false, 1).is_err());
-        assert!(reg.create_index(&catalog, "pi", "roads", "zzz", "b", None, lm, false, 1).is_err());
         assert!(reg
-            .create_index(&catalog, "pi", "roads", "a", "b", Some("zzz"), lm, false, 1)
+            .create_index(&catalog, "pi", "nope", "a", "b", None, Some(lm), false, 1)
+            .is_err());
+        assert!(reg
+            .create_index(&catalog, "pi", "roads", "zzz", "b", None, Some(lm), false, 1)
+            .is_err());
+        assert!(reg
+            .create_index(&catalog, "pi", "roads", "a", "b", Some("zzz"), Some(lm), false, 1)
             .is_err());
         let zero = PathIndexKind::Landmarks(0);
-        assert!(reg.create_index(&catalog, "pi", "roads", "a", "b", None, zero, false, 1).is_err());
+        assert!(reg
+            .create_index(&catalog, "pi", "roads", "a", "b", None, Some(zero), false, 1)
+            .is_err());
         let over = PathIndexKind::Landmarks(MAX_LANDMARKS + 1);
-        assert!(reg.create_index(&catalog, "pi", "roads", "a", "b", None, over, false, 1).is_err());
+        assert!(reg
+            .create_index(&catalog, "pi", "roads", "a", "b", None, Some(over), false, 1)
+            .is_err());
         create(&reg, &catalog, "pi", None, lm).unwrap();
         assert!(create(&reg, &catalog, "PI", None, lm).is_err());
-        assert!(reg.drop_index("missing", false).is_err());
-        reg.drop_index("pi", false).unwrap();
+        assert!(reg.drop_index(IndexFamily::Path, "missing", false).is_err());
+        reg.drop_index(IndexFamily::Path, "pi", false).unwrap();
         assert!(reg.index_names().is_empty());
     }
 
@@ -888,7 +963,7 @@ mod tests {
             "a",
             "b",
             None,
-            PathIndexKind::Landmarks(2),
+            Some(PathIndexKind::Landmarks(2)),
             true,
             1,
         )
@@ -896,9 +971,9 @@ mod tests {
         assert_eq!(reg.version(), v);
         assert_eq!(reg.index_names(), vec!["pi".to_string()]);
         // IF EXISTS drop of a missing index succeeds without a bump.
-        reg.drop_index("ghost", true).unwrap();
+        reg.drop_index(IndexFamily::Path, "ghost", true).unwrap();
         assert_eq!(reg.version(), v);
-        reg.drop_index("pi", true).unwrap();
+        reg.drop_index(IndexFamily::Path, "pi", true).unwrap();
         assert_eq!(reg.version(), v + 1);
     }
 
@@ -952,7 +1027,7 @@ mod tests {
                 "s",
                 "d",
                 Some("w"),
-                PathIndexKind::Landmarks(2),
+                Some(PathIndexKind::Landmarks(2)),
                 false,
                 1,
             )
@@ -978,12 +1053,100 @@ mod tests {
         assert_eq!(reg.version(), 0);
         create(&reg, &catalog, "pi", None, PathIndexKind::Landmarks(2)).unwrap();
         assert_eq!(reg.version(), 1);
-        reg.drop_index("pi", false).unwrap();
+        reg.drop_index(IndexFamily::Path, "pi", false).unwrap();
         assert_eq!(reg.version(), 2);
         create(&reg, &catalog, "pi", None, PathIndexKind::Contraction).unwrap();
         reg.drop_indexes_for_table("roads");
         assert_eq!(reg.version(), 4);
         reg.drop_indexes_for_table("roads");
         assert_eq!(reg.version(), 4);
+    }
+
+    // ---- graph-index entries (no accelerator)
+
+    #[test]
+    fn graph_entry_returns_the_same_arc_while_the_table_is_unchanged() {
+        let (catalog, reg) = setup();
+        create_graph(&reg, &catalog, "gi").unwrap();
+        let g = reg.graph_by_name(&catalog, "gi", 2).unwrap().unwrap();
+        assert_eq!(g.num_edges(), 4);
+        let again = reg.graph_by_name(&catalog, "GI", 2).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&g, &again));
+        // A graph entry carries no accelerator and costs no accelerator build.
+        assert!(reg.data_by_name(&catalog, "gi", 2).unwrap().is_none());
+        assert_eq!(reg.builds(), 0);
+    }
+
+    #[test]
+    fn graph_entry_misses_for_other_columns() {
+        let (catalog, reg) = setup();
+        create_graph(&reg, &catalog, "GI").unwrap();
+        let found = reg.find_indexes("ROADS", "A", "B");
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].name.as_str(), found[0].kind), ("gi", None));
+        // Reversed direction is a different graph: no index covers it.
+        assert!(reg.find_indexes("roads", "b", "a").is_empty());
+        assert!(reg.find_indexes("other", "a", "b").is_empty());
+    }
+
+    #[test]
+    fn graph_entry_rebuilds_after_mutation() {
+        let (catalog, reg) = setup();
+        create_graph(&reg, &catalog, "gi").unwrap();
+        let g1 = reg.graph_by_name(&catalog, "gi", 2).unwrap().unwrap();
+        catalog
+            .update("roads", |t| t.append_row(vec![Value::Int(4), Value::Int(5), Value::Int(2)]))
+            .unwrap();
+        let g2 = reg.graph_by_name(&catalog, "gi", 2).unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&g1, &g2));
+        assert_eq!(g2.num_edges(), 5);
+        // The rebuilt graph is cached again.
+        let g3 = reg.graph_by_name(&catalog, "gi", 2).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&g2, &g3));
+        // A dropped index yields None (the executor falls back to scanning).
+        reg.drop_index(IndexFamily::Graph, "gi", false).unwrap();
+        assert!(reg.graph_by_name(&catalog, "gi", 2).unwrap().is_none());
+    }
+
+    #[test]
+    fn graph_entry_version_bumps_and_validation_errors() {
+        let (catalog, reg) = setup();
+        let graph = |name: &str, table: &str, src: &str| {
+            reg.create_index(&catalog, name, table, src, "b", None, None, false, 1)
+        };
+        assert!(graph("gi", "nope", "a").is_err());
+        assert!(graph("gi", "roads", "zzz").is_err());
+        assert_eq!(reg.version(), 0);
+        graph("gi", "roads", "a").unwrap();
+        assert_eq!(reg.version(), 1);
+        // Duplicate names are rejected case-insensitively, before any build
+        // (the bad table would otherwise be reported first).
+        let err = graph("GI", "nope", "a").unwrap_err();
+        assert!(err.to_string().contains("graph index 'GI' already exists"), "{err}");
+        assert!(reg.drop_index(IndexFamily::Graph, "missing", false).is_err());
+        reg.drop_index(IndexFamily::Graph, "gi", false).unwrap();
+        assert_eq!(reg.version(), 2);
+        assert!(reg.drop_index(IndexFamily::Graph, "gi", false).is_err());
+        assert_eq!(reg.version(), 2);
+        assert!(reg.index_names().is_empty());
+    }
+
+    #[test]
+    fn graph_and_path_families_keep_separate_name_spaces() {
+        let (catalog, reg) = setup();
+        create_graph(&reg, &catalog, "gi").unwrap();
+        create(&reg, &catalog, "gi", None, PathIndexKind::Contraction).unwrap();
+        assert_eq!(reg.version(), 2);
+        assert_eq!(reg.index_names(), vec!["gi".to_string()]);
+        assert_eq!(reg.list(&catalog).len(), 1, "SHOW PATH INDEXES lists the path entry only");
+        assert_eq!(reg.builds(), 1, "only the accelerated entry counts as a build");
+        reg.drop_index(IndexFamily::Graph, "gi", false).unwrap();
+        assert!(reg.graph_by_name(&catalog, "gi", 1).unwrap().is_none());
+        assert!(reg.data_by_name(&catalog, "gi", 1).unwrap().is_some());
+        // DROP TABLE sweeps both families with a single version bump.
+        create_graph(&reg, &catalog, "gi").unwrap();
+        reg.drop_indexes_for_table("roads");
+        assert_eq!(reg.version(), 5);
+        assert!(reg.index_names().is_empty());
     }
 }

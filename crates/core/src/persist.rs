@@ -11,8 +11,8 @@
 //!   re-executes it through a session), and `import_csv` bulk appends are
 //!   logged as raw rows. Statements are logged *after* they succeed, so
 //!   replay is deterministic — a failed statement never reaches the log.
-//! * **Snapshot sections** serialize the graph-index and path-index
-//!   registries. Graph-index entries persist their definitions only (the
+//! * **Snapshot sections** serialize the index registry, one section per
+//!   family. Graph-index entries persist their definitions only (the
 //!   CSR is cheap to rebuild lazily); path-index entries persist the full
 //!   built acceleration structures — landmark distance vectors or CH
 //!   shortcut CSRs — stamped with the owning table's version, so a warm
@@ -28,9 +28,9 @@ use crate::database::Database;
 use crate::error::Error;
 use crate::exec::graph_op::{null_filtered_edges, MaterializedGraph};
 use crate::exec::vertex_dict::VertexDict;
-use crate::graph_index::{GraphIndexRegistry, GraphIndexSnapshot};
 use crate::path_index::{
-    AccelIndex, PathIndexData, PathIndexKind, PathIndexRegistry, PathIndexSnapshotEntry,
+    AccelIndex, IndexDef, IndexFamily, IndexRegistry, IndexSnapshotEntry, PathIndexData,
+    PathIndexKind,
 };
 use crate::session::Session;
 use gsql_accel::{ChParts, ContractionHierarchy, Landmarks, UpGraphParts};
@@ -41,9 +41,10 @@ use std::sync::Arc;
 
 type Result<T> = std::result::Result<T, Error>;
 
-/// Snapshot section holding the graph-index registry.
+/// Snapshot section holding the graph-index definitions.
 pub(crate) const GRAPH_SECTION: &str = "graph_indexes";
-/// Snapshot section holding the path-index registry.
+/// Snapshot section holding the built path indexes and the registry's
+/// structural version.
 pub(crate) const PATH_SECTION: &str = "path_indexes";
 
 /// WAL record tag: a mutating statement (SQL text + parameters).
@@ -201,37 +202,39 @@ pub(crate) fn capture_snapshot(db: &Database) -> std::result::Result<SnapshotDat
         .map(|(name, e)| SnapshotTable { name, version: e.version, table: e.table })
         .collect();
     let sections = vec![
-        (GRAPH_SECTION.to_string(), encode_graph_section(db.graph_indexes())),
+        (GRAPH_SECTION.to_string(), encode_graph_section(db.path_indexes())),
         (PATH_SECTION.to_string(), encode_path_section(db.path_indexes())?),
     ];
     Ok(SnapshotData { ddl_version: db.catalog().ddl_version(), tables, sections })
 }
 
-fn encode_graph_section(reg: &GraphIndexRegistry) -> Vec<u8> {
-    let entries = reg.snapshot_entries();
+/// The graph section: a zero version (the path section carries the
+/// registry's whole structural version), then the definitions.
+fn encode_graph_section(reg: &IndexRegistry) -> Vec<u8> {
+    let entries = reg.snapshot_entries(IndexFamily::Graph);
     let mut w = ByteWriter::new();
-    w.put_u64(reg.version());
+    w.put_u64(0);
     w.put_usize(entries.len());
     for e in entries {
         w.put_str(&e.name);
-        w.put_str(&e.table);
-        w.put_str(&e.src_col);
-        w.put_str(&e.dst_col);
+        w.put_str(&e.def.table);
+        w.put_str(&e.def.src_col);
+        w.put_str(&e.def.dst_col);
     }
     w.into_bytes()
 }
 
-fn encode_path_section(reg: &PathIndexRegistry) -> std::result::Result<Vec<u8>, StorageError> {
-    let entries = reg.snapshot_entries();
+fn encode_path_section(reg: &IndexRegistry) -> std::result::Result<Vec<u8>, StorageError> {
+    let entries = reg.snapshot_entries(IndexFamily::Path);
     let mut w = ByteWriter::new();
     w.put_u64(reg.version());
     w.put_usize(entries.len());
     for e in entries {
         w.put_str(&e.name);
-        w.put_str(&e.table);
-        w.put_str(&e.src_col);
-        w.put_str(&e.dst_col);
-        put_opt_str(&mut w, e.weight_col.as_deref());
+        w.put_str(&e.def.table);
+        w.put_str(&e.def.src_col);
+        w.put_str(&e.def.dst_col);
+        put_opt_str(&mut w, e.def.weight_col.as_deref());
         match e.weight_key {
             None => w.put_u8(0),
             Some(k) => {
@@ -239,12 +242,13 @@ fn encode_path_section(reg: &PathIndexRegistry) -> std::result::Result<Vec<u8>, 
                 w.put_usize(k);
             }
         }
-        match e.kind {
-            PathIndexKind::Landmarks(k) => {
+        match e.def.accel {
+            Some(PathIndexKind::Landmarks(k)) => {
                 w.put_u8(0);
                 w.put_u32(k);
             }
-            PathIndexKind::Contraction => w.put_u8(1),
+            Some(PathIndexKind::Contraction) => w.put_u8(1),
+            None => unreachable!("path-section entries carry an accelerator"),
         }
         match &e.built {
             None => w.put_u8(0),
@@ -361,6 +365,10 @@ fn put_opt_i64s(w: &mut ByteWriter, vals: Option<&[i64]>) {
 /// (empty, in-memory) database: tables and version counters exactly as
 /// captured, graph-index definitions, and path indexes with their built
 /// acceleration structures when the owning table's version still matches.
+/// The registry's structural version is the sum of the two sections'
+/// versions, so snapshots that split it across the sections (as older ones
+/// did) and snapshots that keep it whole in the path section restore the
+/// same [`Database::schema_version`].
 pub(crate) fn restore_snapshot(db: &Database, snap: SnapshotData) -> Result<()> {
     db.catalog().set_ddl_version(snap.ddl_version);
     for t in snap.tables {
@@ -381,17 +389,25 @@ fn restore_graph_section(db: &Database, bytes: &[u8]) -> Result<()> {
     let version = r.get_u64().map_err(Error::Storage)?;
     let count = r.get_usize().map_err(Error::Storage)?;
     for _ in 0..count {
-        db.graph_indexes().restore_entry(GraphIndexSnapshot {
-            name: r.get_str().map_err(Error::Storage)?,
+        let name = r.get_str().map_err(Error::Storage)?;
+        let def = IndexDef {
             table: r.get_str().map_err(Error::Storage)?,
             src_col: r.get_str().map_err(Error::Storage)?,
             dst_col: r.get_str().map_err(Error::Storage)?,
+            weight_col: None,
+            accel: None,
+        };
+        db.path_indexes().restore_entry(IndexSnapshotEntry {
+            name,
+            def,
+            weight_key: None,
+            built: None,
         });
     }
     if !r.is_exhausted() {
         return Err(corrupt("trailing bytes in graph-index section"));
     }
-    db.graph_indexes().set_version(version);
+    db.path_indexes().add_version(version);
     Ok(())
 }
 
@@ -424,21 +440,13 @@ fn restore_path_section(db: &Database, bytes: &[u8]) -> Result<()> {
                 decode_built_data(db, &table, kind, weight_key, table_version, &mut r)?
             }
         };
-        db.path_indexes().restore_entry(PathIndexSnapshotEntry {
-            name,
-            table,
-            src_col,
-            dst_col,
-            weight_col,
-            weight_key,
-            kind,
-            built,
-        });
+        let def = IndexDef { table, src_col, dst_col, weight_col, accel: Some(kind) };
+        db.path_indexes().restore_entry(IndexSnapshotEntry { name, def, weight_key, built });
     }
     if !r.is_exhausted() {
         return Err(corrupt("trailing bytes in path-index section"));
     }
-    db.path_indexes().set_version(version);
+    db.path_indexes().add_version(version);
     Ok(())
 }
 

@@ -149,40 +149,27 @@ pub enum LogicalPlan {
         /// Output schema (columns qualified by table name or alias).
         schema: PlanSchema,
     },
-    /// An edge table served from a registered graph index (paper §6).
+    /// An edge table served from a registry entry (paper §6).
     ///
-    /// Produced by the optimizer: when a graph operator's edge child is a
-    /// plain `Scan` whose `(table, src, dst)` configuration matches a
-    /// registered index — and the session's `graph_index` setting is on —
-    /// the scan is replaced by this node. The executor fetches the cached
-    /// [`crate::exec::MaterializedGraph`] instead of rebuilding it; if the
-    /// index has been dropped since planning it falls back to scanning
-    /// `table`.
+    /// Produced by the optimizer when a graph operator's edge child is a
+    /// plain `Scan` whose `(table, src, dst)` configuration a registered
+    /// index covers. With `kind` set, the entry is a path index whose
+    /// accelerator serves every spec of the operator (session setting
+    /// `path_index`; a contraction hierarchy beats landmarks); the
+    /// executor answers the pairs through its accelerated search — the
+    /// point-to-point tier for one pair, the many-to-many tier for more.
+    /// Without `kind`, the entry is a graph index (session setting
+    /// `graph_index`) and the executor reuses its cached
+    /// [`crate::exec::MaterializedGraph`] instead of rebuilding it. If the
+    /// index has been dropped since planning, the executor scans `table`.
     IndexedGraph {
         /// The index name.
         index: String,
         /// The indexed base table (used as fallback).
         table: String,
-        /// Output schema (identical to the underlying scan's).
-        schema: PlanSchema,
-    },
-    /// An edge table served from a registered **path index**: the enclosing
-    /// graph operator is point-to-point eligible, so the executor routes
-    /// single-pair requests through the index's accelerated search —
-    /// goal-directed bidirectional A* for an ALT index, bidirectional
-    /// upward Dijkstra with stall-on-demand for a contraction hierarchy —
-    /// falling back to Dijkstra when the index is gone or the request is
-    /// not a single pair. Produced by the optimizer when the session's
-    /// `path_index` setting is on; when several kinds cover a query the
-    /// contraction hierarchy wins (stronger pruning), visible in the
-    /// `EXPLAIN` label's kind suffix.
-    PathIndexedGraph {
-        /// The path-index name.
-        index: String,
-        /// The indexed base table (used as fallback).
-        table: String,
-        /// The index kind the optimizer chose (shown in `EXPLAIN`).
-        kind: crate::path_index::PathIndexKind,
+        /// The accelerator kind of a path index (shown in `EXPLAIN`);
+        /// `None` for a graph index.
+        kind: Option<crate::path_index::PathIndexKind>,
         /// Output schema (identical to the underlying scan's).
         schema: PlanSchema,
     },
@@ -337,7 +324,6 @@ impl LogicalPlan {
             }
             Scan { schema, .. }
             | IndexedGraph { schema, .. }
-            | PathIndexedGraph { schema, .. }
             | Values { schema, .. }
             | Project { schema, .. }
             | Join { schema, .. }
@@ -372,11 +358,7 @@ impl LogicalPlan {
     pub fn children(&self) -> Vec<&LogicalPlan> {
         use LogicalPlan::*;
         match self {
-            SingleRow
-            | Scan { .. }
-            | IndexedGraph { .. }
-            | PathIndexedGraph { .. }
-            | Values { .. } => Vec::new(),
+            SingleRow | Scan { .. } | IndexedGraph { .. } | Values { .. } => Vec::new(),
             Filter { input, .. }
             | Project { input, .. }
             | Aggregate { input, .. }
@@ -399,10 +381,10 @@ impl LogicalPlan {
                 let names: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
                 format!("Scan {table} [{}]", names.join(", "))
             }
-            LogicalPlan::IndexedGraph { index, table, .. } => {
+            LogicalPlan::IndexedGraph { index, table, kind: None, .. } => {
                 format!("GraphIndex {index} ON {table}")
             }
-            LogicalPlan::PathIndexedGraph { index, table, kind, .. } => {
+            LogicalPlan::IndexedGraph { index, table, kind: Some(kind), .. } => {
                 format!("PathIndex {index} ON {table} ({})", kind.label())
             }
             LogicalPlan::Values { rows, .. } => format!("Values ({} rows)", rows.len()),

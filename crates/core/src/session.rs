@@ -47,6 +47,7 @@ use crate::database::{Database, QueryResult};
 use crate::error::{bind_err, Error};
 use crate::exec::executor::Executor;
 use crate::optimize::optimize_with;
+use crate::path_index::{IndexFamily, PathIndexKind};
 use crate::plan::LogicalPlan;
 use gsql_obs::{
     EngineMetrics, QueryOutcome, QueryVerb, SlowQueryRecord, SpanId, TraceCollector, TraceValue,
@@ -553,8 +554,7 @@ impl<'db> Session<'db> {
     where
         'db: 'a,
     {
-        ExecContext::new(self.db.catalog(), params, Some(self.db.graph_indexes()))
-            .with_path_indexes(self.db.path_indexes())
+        ExecContext::new(self.db.catalog(), params, Some(self.db.path_indexes()))
             .with_settings(self.settings.borrow().clone())
             .with_deadline(deadline)
             .with_metrics(Some(Arc::clone(self.db.metrics())))
@@ -832,9 +832,16 @@ impl<'db> Session<'db> {
             }
             ast::Statement::CreateGraphIndex { name, table, src_col, dst_col } => {
                 let threads = self.settings.borrow().threads;
-                self.db.create_graph_index_stmt(name, table, src_col, dst_col, threads)
+                let (catalog, indexes) = (self.db.catalog(), self.db.path_indexes());
+                indexes.create_index(
+                    catalog, name, table, src_col, dst_col, None, None, false, threads,
+                )?;
+                Ok(QueryResult::Ok)
             }
-            ast::Statement::DropGraphIndex { name } => self.db.drop_graph_index_stmt(name),
+            ast::Statement::DropGraphIndex { name } => {
+                self.db.path_indexes().drop_index(IndexFamily::Graph, name, false)?;
+                Ok(QueryResult::Ok)
+            }
             ast::Statement::CreatePathIndex {
                 name,
                 table,
@@ -846,26 +853,25 @@ impl<'db> Session<'db> {
             } => {
                 let threads = self.settings.borrow().threads;
                 let kind = match method {
-                    ast::PathIndexMethod::Landmarks(k) => {
-                        crate::path_index::PathIndexKind::Landmarks(*k)
-                    }
-                    ast::PathIndexMethod::Contraction => {
-                        crate::path_index::PathIndexKind::Contraction
-                    }
+                    ast::PathIndexMethod::Landmarks(k) => PathIndexKind::Landmarks(*k),
+                    ast::PathIndexMethod::Contraction => PathIndexKind::Contraction,
                 };
-                self.db.create_path_index_stmt(
+                self.db.path_indexes().create_index(
+                    self.db.catalog(),
                     name,
                     table,
                     src_col,
                     dst_col,
                     weight_col.as_deref(),
-                    kind,
+                    Some(kind),
                     *if_not_exists,
                     threads,
-                )
+                )?;
+                Ok(QueryResult::Ok)
             }
             ast::Statement::DropPathIndex { name, if_exists } => {
-                self.db.drop_path_index_stmt(name, *if_exists)
+                self.db.path_indexes().drop_index(IndexFamily::Path, name, *if_exists)?;
+                Ok(QueryResult::Ok)
             }
             ast::Statement::Checkpoint => {
                 // Not dispatched under the shared commit lock (see

@@ -193,7 +193,8 @@ impl HistogramSnapshot {
     }
 
     /// Estimate the `p`-th percentile (`0.0..=1.0`) as the upper bound of
-    /// the first bucket whose cumulative count reaches `p * count`. The
+    /// the first bucket whose cumulative count reaches `p * count`, clamped
+    /// to the observed max (no estimate exceeds a value actually seen). The
     /// overflow bucket reports the observed max.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
@@ -204,7 +205,7 @@ impl HistogramSnapshot {
         for (i, &c) in self.counts.iter().enumerate() {
             cumulative += c;
             if cumulative >= target {
-                return if i < self.bounds.len() { self.bounds[i] } else { self.max };
+                return self.bounds.get(i).map_or(self.max, |&b| b.min(self.max));
             }
         }
         self.max
@@ -726,6 +727,18 @@ mod tests {
         assert_eq!(s.percentile(0.5), 100);
         assert_eq!(s.percentile(1.0), 5000); // overflow bucket reports max
         assert_eq!(s.mean(), s.sum / 8);
+    }
+
+    #[test]
+    fn percentiles_never_exceed_the_observed_max() {
+        // One 12.47 ms observation lands in the 25 ms latency bucket; every
+        // percentile reports the observation, not the bucket bound.
+        let h = Histogram::new(&latency_buckets_us());
+        h.observe(12_470);
+        let s = h.snapshot();
+        assert_eq!(s.max, 12_470);
+        assert_eq!(s.percentile(0.5), s.max);
+        assert_eq!(s.percentile(0.99), s.max);
     }
 
     #[test]

@@ -188,9 +188,9 @@ fn run_meta(db: &Database, command: &str) -> bool {
                     Err(_) => println!("{name}"),
                 }
             }
-            let indexes = db.graph_indexes().index_names();
+            let indexes = db.path_indexes().index_names();
             if !indexes.is_empty() {
-                println!("graph indexes: {}", indexes.join(", "));
+                println!("indexes: {}", indexes.join(", "));
             }
         }
         Some("\\import") => {

@@ -44,9 +44,8 @@
 //! ```
 
 pub use gsql_core::{
-    Database, Deadline, Error, ExecContext, ExecStats, GraphIndexRegistry, LogicalPlan,
-    PlanCacheStats, PreparedStatement, QueryResult, Result, Session, SessionSettings,
-    SharedPlanCache,
+    Database, Deadline, Error, ExecContext, ExecStats, IndexRegistry, LogicalPlan, PlanCacheStats,
+    PreparedStatement, QueryResult, Result, Session, SessionSettings, SharedPlanCache,
 };
 pub use gsql_storage::{Column, DataType, Date, PathValue, Schema, Table, Value};
 

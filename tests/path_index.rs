@@ -556,3 +556,59 @@ fn batch_mutation_invalidates_index() {
     let t = session.query(sql).unwrap();
     assert_eq!(t.row(0)[2], Value::Int(4));
 }
+
+#[test]
+fn graph_and_path_index_with_one_name_coexist() {
+    let db = build_db();
+    db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+    // The families keep separate name spaces: the same name is free for a
+    // path index, but not twice within one family.
+    db.execute("CREATE PATH INDEX gi ON e EDGE (s, d) USING CONTRACTION").unwrap();
+    assert!(db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").is_err());
+    assert!(db.execute("CREATE PATH INDEX gi ON e EDGE (s, d) USING CONTRACTION").is_err());
+    let hops = "SELECT CHEAPEST SUM(1) AS hops WHERE 0 REACHES 9 OVER e EDGE (s, d)";
+    let plan = |path_index: &str| {
+        let session = db.session();
+        session.set("path_index", path_index).unwrap();
+        session.set("graph_index", "on").unwrap();
+        (session.plan(hops).unwrap().explain(), session.query(hops).unwrap().row(0))
+    };
+    let (accelerated, answer) = plan("on");
+    assert!(accelerated.contains("PathIndex gi ON e"), "{accelerated}");
+    let (cached, same) = plan("off");
+    assert!(cached.contains("GraphIndex gi ON e"), "{cached}");
+    assert_eq!(same, answer);
+
+    // DROP GRAPH INDEX removes the graph entry only.
+    db.execute("DROP GRAPH INDEX gi").unwrap();
+    assert!(db.execute("DROP GRAPH INDEX gi").is_err());
+    let (scanned, same) = plan("off");
+    assert!(scanned.contains("Scan e"), "{scanned}");
+    assert_eq!(same, answer);
+    let (accelerated, same) = plan("on");
+    assert!(accelerated.contains("PathIndex gi ON e"), "{accelerated}");
+    assert_eq!(same, answer);
+    let listing = db.session().query("SHOW PATH INDEXES").unwrap();
+    assert_eq!(listing.row_count(), 1);
+    assert_eq!(listing.row(0)[0], Value::from("gi"));
+}
+
+#[test]
+fn explain_names_the_first_of_several_graph_indexes() {
+    let hops = "SELECT CHEAPEST SUM(1) AS hops WHERE 0 REACHES 9 OVER e EDGE (s, d)";
+    // Every database seeds its own hash state, so several databases with
+    // several covering indexes would expose any dependence on hash order.
+    for _ in 0..4 {
+        let db = build_db();
+        for name in ["g8", "g3", "g5", "g1", "g7", "g2", "g6", "g4"] {
+            db.execute(&format!("CREATE GRAPH INDEX {name} ON e EDGE (s, d)")).unwrap();
+        }
+        let session = db.session();
+        session.set("graph_index", "on").unwrap();
+        let plan = session.plan(hops).unwrap().explain();
+        assert!(plan.contains("GraphIndex g1 ON e"), "{plan}");
+        db.execute("DROP GRAPH INDEX g1").unwrap();
+        let plan = session.plan(hops).unwrap().explain();
+        assert!(plan.contains("GraphIndex g2 ON e"), "{plan}");
+    }
+}

@@ -142,6 +142,49 @@ fn warm_restart_keeps_a_dense_dictionary() {
     assert_eq!(db.path_indexes().builds(), 0, "warm start must not rebuild");
 }
 
+/// A graph index and a contraction hierarchy on one table: the plans, the
+/// answers and `schema_version()` are the same after a WAL-only replay and
+/// after a checkpoint and reopen, and the warm open builds nothing.
+#[test]
+fn graph_and_path_index_on_one_table_survive_replay_and_checkpoint() {
+    let dir = TempDir::new("both");
+    // The hop query is served by the graph index (the CH index is
+    // weighted), the weighted one by the CH index.
+    let queries = ["SELECT CHEAPEST SUM(1) AS hops WHERE 1 REACHES 4 OVER e EDGE (s, d)", CHEAPEST];
+    let observe = |db: &Database| {
+        let session = db.session();
+        session.set("path_index", "on").unwrap();
+        session.set("graph_index", "on").unwrap();
+        let plans = queries.map(|q| session.plan(q).unwrap().explain());
+        let answers = queries.map(|q| {
+            let t = session.query(q).unwrap();
+            (0..t.row_count()).map(|i| t.row(i)).collect::<Vec<_>>()
+        });
+        (plans, answers, db.schema_version())
+    };
+    let before = {
+        let db = Database::open(dir.path()).unwrap();
+        db.execute(ROADS).unwrap();
+        db.execute(ROAD_ROWS).unwrap();
+        db.execute("CREATE GRAPH INDEX gi ON e EDGE (s, d)").unwrap();
+        db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
+        observe(&db)
+    };
+    assert!(before.0[0].contains("GraphIndex gi ON e"), "{:?}", before.0);
+    assert!(before.0[1].contains("PathIndex pc ON e"), "{:?}", before.0);
+    assert_eq!(before.1[0], vec![vec![Value::Int(2)]]);
+    assert_eq!(before.1[1], vec![vec![Value::Int(11)]]);
+    {
+        // WAL-only replay.
+        let db = Database::open(dir.path()).unwrap();
+        assert_eq!(observe(&db), before);
+        db.execute("CHECKPOINT").unwrap();
+    }
+    let db = Database::open(dir.path()).unwrap();
+    assert_eq!(observe(&db), before);
+    assert_eq!(db.path_indexes().builds(), 0, "warm start must not rebuild");
+}
+
 #[test]
 fn torn_wal_tail_is_truncated() {
     let dir = TempDir::new("torn");
