@@ -7,9 +7,7 @@
 //!   4 threads on ≥ 4 cores).
 //! * `--pipeline` — the morsel-driven relational pipeline: a fused
 //!   scan→filter→hash-join→aggregate statement over generated road data,
-//!   measured under the barrier executor (`SET pipeline = off`) and the
-//!   pipelined executor, each at 1 and N threads, asserting byte-identical
-//!   results across all four sessions.
+//!   measured at 1 and N threads, asserting byte-identical results.
 //!
 //! `cargo run -p gsql-bench --release --bin parallel_scaling -- \
 //!      --sf 0.1,1 --reps 10 --batch 64 --threads 4`
@@ -83,14 +81,9 @@ fn pipeline_scenario(args: &[String], threads: usize) {
             ("morsel_rows", Json::Int(row.morsel_rows as i64)),
             ("seed", Json::Int(seed as i64)),
             (
-                "barrier",
-                obj(vec![("seq_us", us(row.barrier_seq)), ("par_us", us(row.barrier_par))]),
-            ),
-            (
                 "pipelined",
                 obj(vec![("seq_us", us(row.pipeline_seq)), ("par_us", us(row.pipeline_par))]),
             ),
-            ("speedup_vs_barrier", Json::Float(row.speedup_vs_barrier())),
             ("thread_scaling", Json::Float(row.thread_scaling())),
         ]);
         println!("{}", report.encode());

@@ -395,24 +395,15 @@ pub struct PipelineScalingRow {
     pub edges: usize,
     /// Worker threads of the parallel measurements.
     pub threads: usize,
-    /// Morsel granularity (`SET morsel_rows`) of the pipelined runs.
+    /// Morsel granularity (`SET morsel_rows`) of the runs.
     pub morsel_rows: usize,
-    /// Barrier executor (`SET pipeline = off`), 1 thread.
-    pub barrier_seq: Duration,
-    /// Barrier executor, N threads.
-    pub barrier_par: Duration,
-    /// Pipelined executor (`SET pipeline = on`), 1 thread.
+    /// Pipelined executor, 1 thread.
     pub pipeline_seq: Duration,
     /// Pipelined executor, N threads.
     pub pipeline_par: Duration,
 }
 
 impl PipelineScalingRow {
-    /// Barrier vs pipelined wall clock at N threads — the headline number.
-    pub fn speedup_vs_barrier(&self) -> f64 {
-        self.barrier_par.as_secs_f64() / self.pipeline_par.as_secs_f64().max(1e-12)
-    }
-
     /// Pipelined executor thread scaling: 1 thread vs N.
     pub fn thread_scaling(&self) -> f64 {
         self.pipeline_seq.as_secs_f64() / self.pipeline_par.as_secs_f64().max(1e-12)
@@ -446,19 +437,17 @@ pub fn load_road_network(width: u32, height: u32, seed: u64) -> (Database, usize
     (db, roads.row_count())
 }
 
-/// Average latency of the pipeline statement in a session configured with
-/// the given executor and width; also returns the materialized result so
-/// callers can assert cross-configuration identity.
+/// Average latency of the pipeline statement in a session of the given
+/// width; also returns the materialized result so callers can assert
+/// cross-configuration identity.
 fn measure_pipeline_statement(
     db: &Database,
     reps: usize,
     threads: usize,
-    pipeline: bool,
     morsel_rows: usize,
 ) -> (Duration, Vec<Vec<Value>>) {
     let session = db.session();
     session.set("threads", &threads.to_string()).expect("valid threads setting");
-    session.set("pipeline", if pipeline { "on" } else { "off" }).expect("valid pipeline setting");
     session.set("morsel_rows", &morsel_rows.to_string()).expect("valid morsel_rows setting");
     let stmt = session.prepare(PIPELINE_SCALING_SQL).expect("benchmark query must parse");
     // The warm-up run doubles as the result sample.
@@ -473,9 +462,8 @@ fn measure_pipeline_statement(
 
 /// The morsel-driven pipeline benchmark: the fused
 /// scan→filter→probe→aggregate statement over generated road data, run in
-/// four sessions — barrier executor (`pipeline = off`) and pipelined
-/// executor (`pipeline = on`), each at 1 thread and at `threads` — and
-/// asserting all four produce byte-identical result tables.
+/// two sessions — 1 thread and `threads` — asserting both produce
+/// byte-identical result tables.
 pub fn run_pipeline_scaling(
     width: u32,
     height: u32,
@@ -485,28 +473,10 @@ pub fn run_pipeline_scaling(
     seed: u64,
 ) -> PipelineScalingRow {
     let (db, edges) = load_road_network(width, height, seed);
-    let mut times = Vec::with_capacity(4);
-    let mut reference: Option<Vec<Vec<Value>>> = None;
-    for (pipeline, t) in [(false, 1), (false, threads), (true, 1), (true, threads)] {
-        let (elapsed, rows) = measure_pipeline_statement(&db, reps, t, pipeline, morsel_rows);
-        match &reference {
-            None => reference = Some(rows),
-            Some(expected) => assert_eq!(
-                expected, &rows,
-                "pipeline={pipeline} threads={t} must return byte-identical results"
-            ),
-        }
-        times.push(elapsed);
-    }
-    PipelineScalingRow {
-        edges,
-        threads,
-        morsel_rows,
-        barrier_seq: times[0],
-        barrier_par: times[1],
-        pipeline_seq: times[2],
-        pipeline_par: times[3],
-    }
+    let (pipeline_seq, reference) = measure_pipeline_statement(&db, reps, 1, morsel_rows);
+    let (pipeline_par, rows) = measure_pipeline_statement(&db, reps, threads, morsel_rows);
+    assert_eq!(reference, rows, "threads={threads} must return byte-identical results");
+    PipelineScalingRow { edges, threads, morsel_rows, pipeline_seq, pipeline_par }
 }
 
 /// Print the pipeline-scaling benchmark.
@@ -516,34 +486,14 @@ pub fn print_pipeline_scaling(row: &PipelineScalingRow) {
          (morsel_rows = {})",
         row.edges, row.morsel_rows
     );
-    let body = vec![
-        vec![
-            "barrier (pipeline = off)".to_string(),
-            fmt_duration(row.barrier_seq),
-            format!("{}", row.threads),
-            fmt_duration(row.barrier_par),
-            format!(
-                "{:.2}x",
-                row.barrier_seq.as_secs_f64() / row.barrier_par.as_secs_f64().max(1e-12)
-            ),
-        ],
-        vec![
-            "pipelined (pipeline = on)".to_string(),
-            fmt_duration(row.pipeline_seq),
-            format!("{}", row.threads),
-            fmt_duration(row.pipeline_par),
-            format!("{:.2}x", row.thread_scaling()),
-        ],
-    ];
-    print!(
-        "{}",
-        render_table(&["executor", "threads=1", "N", "threads=N", "thread scaling"], &body)
-    );
-    println!(
-        "pipelined vs barrier at {} threads: {:.2}x; results byte-identical in all four sessions.",
-        row.threads,
-        row.speedup_vs_barrier()
-    );
+    let body = vec![vec![
+        fmt_duration(row.pipeline_seq),
+        format!("{}", row.threads),
+        fmt_duration(row.pipeline_par),
+        format!("{:.2}x", row.thread_scaling()),
+    ]];
+    print!("{}", render_table(&["threads=1", "N", "threads=N", "thread scaling"], &body));
+    println!("results byte-identical at 1 and {} threads.", row.threads);
 }
 
 // ---------------------------------------------------------------- Ablations
@@ -704,8 +654,8 @@ mod tests {
     fn pipeline_scaling_smoke() {
         let row = run_pipeline_scaling(12, 12, 2, 4, 37, 5);
         assert!(row.edges > 0);
-        assert!(row.barrier_par > Duration::ZERO && row.pipeline_par > Duration::ZERO);
-        assert!(row.speedup_vs_barrier() > 0.0 && row.thread_scaling() > 0.0);
+        assert!(row.pipeline_seq > Duration::ZERO && row.pipeline_par > Duration::ZERO);
+        assert!(row.thread_scaling() > 0.0);
     }
 
     /// The batched statement must return identical result sets under

@@ -17,11 +17,9 @@
 //!   graph index;
 //! * `parallel_scaling` — many-source batched Q13 with `SET threads = 1`
 //!   vs `SET threads = N` (also takes `--batch` and `--threads`); with
-//!   `--pipeline`, the morsel-driven scenario instead: barrier vs
-//!   pipelined executor on a fused scan→filter→hash-join→aggregate road
-//!   workload (`--width`/`--height`/`--morsel-rows`/`--smoke`/`--json`).
-//!
-//! Criterion micro-benchmarks live under `benches/`.
+//!   `--pipeline`, the morsel-driven scenario instead: threads 1 vs N on
+//!   a fused scan→filter→hash-join→aggregate road workload
+//!   (`--width`/`--height`/`--morsel-rows`/`--smoke`/`--json`).
 
 pub mod harness;
 pub mod queries;

@@ -10,16 +10,21 @@
 //! degree of parallelism) and — for `EXPLAIN ANALYZE` — a thread-safe
 //! per-operator statistics collector.
 //!
-//! The plan walk itself is single-threaded; **inside** the data-parallel
-//! operators (filter, hash join, distinct, graph traversals) work fans out
-//! over a scoped pool of `threads` workers and merges back in input order,
-//! so results are bit-for-bit identical to `threads = 1`.
+//! Filter, Project, Join, Aggregate and Limit have one implementation: the
+//! morsel pipeline (`pipeline.rs`), which fuses chains of them over one
+//! source. The remaining operators (scans, VALUES, sort, distinct, union,
+//! UNNEST and the graph operators) materialize here.
+//!
+//! The plan walk itself is single-threaded; **inside** the operators
+//! (morsel pipelines, sort, distinct, graph traversals) work fans out over
+//! a scoped pool of `threads` workers and merges back in input order, so
+//! results and errors are bit-for-bit identical to `threads = 1`.
 
 use crate::context::ExecContext;
 use crate::database::coerce_for_storage;
 use crate::error::{exec_err, Error};
-use crate::exec::expression::{eval, eval_const, eval_filter_indices, eval_to_column};
-use crate::exec::{aggregate, graph_op, join, pipeline, unnest};
+use crate::exec::expression::{eval, eval_const, eval_to_column};
+use crate::exec::{graph_op, pipeline, unnest};
 use crate::plan::{BoundExpr, LogicalPlan, SortKey};
 use gsql_obs::TraceValue;
 use gsql_parallel::Pool;
@@ -131,18 +136,6 @@ impl<'a> Executor<'a> {
     }
 
     fn execute_inner(&self, plan: &LogicalPlan) -> Result<Arc<Table>> {
-        // Streaming operator shapes go through the morsel-driven pipeline
-        // engine first. Timeouts abort outright; any other pipeline error
-        // falls through to the barrier operators below, which re-run the
-        // node sequentially-deterministically so surfaced error messages
-        // are identical to `pipeline = off`.
-        if self.ctx.pipeline_enabled() && pipeline::fusable_root(plan) {
-            match pipeline::execute(self, plan) {
-                Ok(t) => return Ok(t),
-                Err(e @ Error::Timeout { .. }) => return Err(e),
-                Err(_) => {}
-            }
-        }
         let params = self.ctx.params();
         match plan {
             LogicalPlan::SingleRow => {
@@ -169,48 +162,17 @@ impl<'a> Executor<'a> {
                 }
                 Ok(Arc::new(t))
             }
-            LogicalPlan::Filter { input, predicate } => {
-                let t = self.execute(input)?;
-                let keep = eval_filter_indices(predicate, &t, params, self.ctx.threads())?;
-                if keep.len() == t.row_count() {
-                    return Ok(t); // nothing filtered: reuse the snapshot
-                }
-                Ok(Arc::new(t.take(&keep)))
-            }
-            LogicalPlan::Project { input, exprs, schema } => {
-                let t = self.execute(input)?;
-                let storage_schema = schema.to_storage_schema();
-                let mut columns = Vec::with_capacity(exprs.len());
-                for (e, def) in exprs.iter().zip(storage_schema.columns()) {
-                    columns.push(eval_to_column(e, &t, params, def.ty)?);
-                }
-                Table::from_columns(storage_schema, columns).map(Arc::new).map_err(Error::Storage)
-            }
-            LogicalPlan::Join { left, right, kind, on, schema } => {
-                let l = self.execute(left)?;
-                let r = self.execute(right)?;
-                join::execute_join(&l, &r, *kind, on.as_ref(), schema, params, self.ctx.threads())
-            }
+            LogicalPlan::Filter { .. }
+            | LogicalPlan::Project { .. }
+            | LogicalPlan::Join { .. }
+            | LogicalPlan::Aggregate { .. }
+            | LogicalPlan::Limit { .. } => pipeline::execute(self, plan),
             LogicalPlan::GraphSelect { .. } | LogicalPlan::GraphJoin { .. } => {
                 graph_op::execute(self, plan)
-            }
-            LogicalPlan::Aggregate { input, group, aggs, schema } => {
-                let t = self.execute(input)?;
-                aggregate::execute_aggregate(&t, group, aggs, schema, params, self.ctx.threads())
             }
             LogicalPlan::Sort { input, keys } => {
                 let t = self.execute(input)?;
                 Ok(Arc::new(sort_table(&t, keys, params, self.ctx.threads())?))
-            }
-            LogicalPlan::Limit { input, limit, offset } => {
-                let t = self.execute(input)?;
-                let n = t.row_count();
-                let start = (*offset).min(n);
-                let end = match limit {
-                    Some(l) => (start + l).min(n),
-                    None => n,
-                };
-                Ok(Arc::new(t.slice_rows(start..end)))
             }
             LogicalPlan::Distinct { input } => {
                 let t = self.execute(input)?;

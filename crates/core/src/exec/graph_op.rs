@@ -20,7 +20,6 @@ use crate::context::ExecContext;
 use crate::error::{exec_err, Error};
 use crate::exec::executor::Executor;
 use crate::exec::expression::{eval_const, eval_to_column};
-use crate::exec::pipeline;
 use crate::exec::vertex_dict::VertexDict;
 use crate::optimize::spec_accel_eligible;
 use crate::path_index::{BatchSearch, IndexFamily, PathIndexData};
@@ -526,40 +525,15 @@ fn execute_graph_select(
     specs: &[CheapestSpec],
     schema: &PlanSchema,
 ) -> Result<Arc<Table>> {
-    // Fused path: when the input is a pipelinable chain, the vertex
-    // expressions X/Y are evaluated per morsel inside the input's own
-    // fused pass — no second full-table expression sweep over an
-    // intermediate table. The graph is obtained first because the extra
-    // columns are typed by the edge key. Otherwise: materialize the input,
-    // then map X/Y into the dense domain, dropping rows whose endpoints
-    // are not vertices (the "initial filtering" of §3.1).
-    let (input_table, x_col, y_col, eg) = if pipeline::fusion_eligible(ex.ctx(), input) {
-        let eg = obtain_graph(ex, edge, src_key, dst_key)?;
-        let key_ty = eg.graph.edges.schema().column(src_key).ty;
-        let (input_table, mut cols) = match pipeline::execute_with_extra_columns(
-            ex,
-            input,
-            &[(source, key_ty), (dest, key_ty)],
-        )? {
-            Some(fused) => fused,
-            None => {
-                let t = ex.execute(input)?;
-                let x = eval_to_column(source, &t, ex.ctx().params(), key_ty)?;
-                let y = eval_to_column(dest, &t, ex.ctx().params(), key_ty)?;
-                (t, vec![x, y])
-            }
-        };
-        let y_col = cols.pop().expect("two extra columns");
-        let x_col = cols.pop().expect("two extra columns");
-        (input_table, x_col, y_col, eg)
-    } else {
-        let input_table = ex.execute(input)?;
-        let eg = obtain_graph(ex, edge, src_key, dst_key)?;
-        let key_ty = eg.graph.edges.schema().column(src_key).ty;
-        let x_col = eval_to_column(source, &input_table, ex.ctx().params(), key_ty)?;
-        let y_col = eval_to_column(dest, &input_table, ex.ctx().params(), key_ty)?;
-        (input_table, x_col, y_col, eg)
-    };
+    // Materialize the input, then map X/Y into the dense domain, dropping
+    // rows whose endpoints are not vertices (the "initial filtering" of
+    // §3.1). The columns are typed by the edge key; for a bare column key
+    // the evaluation is a column clone.
+    let input_table = ex.execute(input)?;
+    let eg = obtain_graph(ex, edge, src_key, dst_key)?;
+    let key_ty = eg.graph.edges.schema().column(src_key).ty;
+    let x_col = eval_to_column(source, &input_table, ex.ctx().params(), key_ty)?;
+    let y_col = eval_to_column(dest, &input_table, ex.ctx().params(), key_ty)?;
     let graph = &eg.graph;
     let mut candidates: Vec<usize> = Vec::new();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -597,27 +571,14 @@ fn execute_graph_join(
 ) -> Result<Arc<Table>> {
     // GraphJoin is the batched many-to-many shape; a covering path index
     // serves the whole distinct-source × distinct-dest matrix through the
-    // bucket-CH / multi-target-ALT tier of `run_traversals`. Pipelinable
-    // sides evaluate their vertex expression inside their own fused pass (see
-    // `execute_graph_select`); that reorders graph acquisition first, so
-    // only do it when a side actually fuses.
+    // bucket-CH / multi-target-ALT tier of `run_traversals`.
     let ctx = ex.ctx();
-    let fuse = pipeline::fusion_eligible(ctx, left) || pipeline::fusion_eligible(ctx, right);
-    let (left_table, right_table, x_col, y_col, eg) = if fuse {
-        let eg = obtain_graph(ex, edge, src_key, dst_key)?;
-        let key_ty = eg.graph.edges.schema().column(src_key).ty;
-        let (left_table, x_col) = graph_side(ex, left, source, key_ty)?;
-        let (right_table, y_col) = graph_side(ex, right, dest, key_ty)?;
-        (left_table, right_table, x_col, y_col, eg)
-    } else {
-        let left_table = ex.execute(left)?;
-        let right_table = ex.execute(right)?;
-        let eg = obtain_graph(ex, edge, src_key, dst_key)?;
-        let key_ty = eg.graph.edges.schema().column(src_key).ty;
-        let x_col = eval_to_column(source, &left_table, ctx.params(), key_ty)?;
-        let y_col = eval_to_column(dest, &right_table, ctx.params(), key_ty)?;
-        (left_table, right_table, x_col, y_col, eg)
-    };
+    let left_table = ex.execute(left)?;
+    let right_table = ex.execute(right)?;
+    let eg = obtain_graph(ex, edge, src_key, dst_key)?;
+    let key_ty = eg.graph.edges.schema().column(src_key).ty;
+    let x_col = eval_to_column(source, &left_table, ctx.params(), key_ty)?;
+    let y_col = eval_to_column(dest, &right_table, ctx.params(), key_ty)?;
     let graph = &eg.graph;
 
     // Distinct vertex ids on each side, with their row lists.
@@ -671,27 +632,6 @@ fn execute_graph_join(
     columns.extend(right_table.columns().iter().map(|c| c.take(&right_rows)));
     append_spec_columns(&mut columns, &spec_results, &kept_pairs, &graph.edges)?;
     Table::from_columns(schema.to_storage_schema(), columns).map(Arc::new).map_err(Error::Storage)
-}
-
-/// Execute one side of a graph join, evaluating its vertex expression in
-/// the side's fused pipeline pass when possible.
-fn graph_side(
-    ex: &Executor<'_>,
-    side: &LogicalPlan,
-    expr: &BoundExpr,
-    key_ty: DataType,
-) -> Result<(Arc<Table>, Column)> {
-    match pipeline::execute_with_extra_columns(ex, side, &[(expr, key_ty)])? {
-        Some((t, mut cols)) => {
-            let col = cols.pop().expect("one extra column");
-            Ok((t, col))
-        }
-        None => {
-            let t = ex.execute(side)?;
-            let col = eval_to_column(expr, &t, ex.ctx().params(), key_ty)?;
-            Ok((t, col))
-        }
-    }
 }
 
 /// Append the cost (and path) columns for every spec.

@@ -1,65 +1,63 @@
-//! Push-based, morsel-driven pipeline execution.
+//! Push-based, morsel-driven pipeline execution: the one implementation of
+//! Filter, Project, Join, Aggregate and Limit.
 //!
-//! The barrier model (`executor.rs`) runs every operator as its own
-//! fan-out with a full materialized table between stages. This module
-//! replaces that for the streaming operator shapes: a plan rooted at a
-//! filter, project, join, aggregate or limit is decomposed into a
-//! **pipeline** — a fused chain of streaming operators over one source —
-//! terminated by a **sink**. Workers pull fixed-size morsels (contiguous
-//! row ranges of the source) from a shared [`MorselQueue`] and run each
-//! morsel through the whole fused chain to completion in worker-local
-//! state; the sink's per-morsel partials merge sequentially **in
-//! morsel-index order**.
+//! A plan rooted at one of those operators is decomposed into a
+//! **pipeline** — a fused chain of streaming operators (filter, project,
+//! join probe) over one source — terminated by a **sink** (table, limit or
+//! aggregate). Workers pull fixed-size morsels (contiguous row ranges of
+//! the source) from a shared [`MorselQueue`] and run each morsel through
+//! the whole fused chain to completion in worker-local state; the sink's
+//! per-morsel partials merge sequentially **in morsel-index order**. An
+//! input that fits one morsel is the plain sequential operator.
 //!
-//! Pipelines break at the classic breakers: a hash-join **build** side is
-//! fully executed and hashed before its probe pipeline starts; aggregates
-//! and limits are sinks; sort, DISTINCT, UNION, UNNEST and the graph
-//! operators stay materializing barrier nodes (their *inputs* still
-//! execute as pipelines).
+//! Pipelines break at the classic breakers: a join's build side is fully
+//! executed and hashed before its probe pipeline starts; aggregates and
+//! limits are sinks; sort, DISTINCT, UNION, UNNEST and the graph operators
+//! stay materializing nodes (their *inputs* still execute as pipelines).
 //!
 //! Determinism contract: morsel boundaries depend only on the input size
 //! and `morsel_rows` — never the worker count — and the merge consumes
 //! partials in morsel-index order, so every result (including float
-//! aggregates) is bit-identical at every thread count. Error messages are
-//! kept sequential-identical the same way the parallel aggregate does it:
-//! on any non-timeout pipeline error the executor re-runs the node through
-//! the barrier path and surfaces *that* error.
+//! aggregates) is bit-identical at every thread count.
+//!
+//! Errors follow one rule, independent of the thread count. Every morsel
+//! the queue hands out runs to completion, and any failure (or a row-limit
+//! overrun) stops the queue, so the morsels that ran always form a
+//! contiguous prefix that contains the lowest failing morsel. After the
+//! workers join, the merge walks the morsels in index order — and, inside
+//! a morsel, the fused operators innermost first — and surfaces the first
+//! error it meets: the error a `threads = 1` run of the same morsel
+//! sequence surfaces. The row-limit guard is checked in the same walk, on
+//! each operator's cumulative output in morsel order. A Limit sink ends
+//! the walk once its in-order prefix holds `offset + limit` rows, so an
+//! error in a later morsel is dropped. Only timeouts abort immediately.
 
-use crate::context::PipelineStat;
+use crate::context::{row_limit_error, PipelineStat};
 use crate::error::Error;
-use crate::exec::expression::{eval, eval_filter_indices, eval_filter_range, eval_to_column};
+use crate::exec::expression::{eval, eval_filter_range, eval_to_column};
 use crate::exec::join::{materialize_pairs, JoinProbe};
 use crate::exec::{aggregate, Executor};
 use crate::plan::{AggCall, BoundExpr, LogicalPlan, PlanSchema};
 use gsql_obs::TraceValue;
 use gsql_parallel::{MorselQueue, Pool};
-use gsql_storage::{Column, DataType, Table, Value};
+use gsql_storage::{Column, Table, Value};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type Result<T> = std::result::Result<T, Error>;
 
 /// True when `plan` is a shape this module executes as a pipeline root.
-/// (Joins need a condition: a bare cross product stays on the barrier
-/// path.)
-pub(crate) fn fusable_root(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => true,
-        LogicalPlan::Join { on, .. } => on.is_some(),
-        LogicalPlan::Aggregate { .. } | LogicalPlan::Limit { .. } => true,
-        _ => false,
-    }
+fn fusable_root(plan: &LogicalPlan) -> bool {
+    fusable_op(plan) || matches!(plan, LogicalPlan::Aggregate { .. } | LogicalPlan::Limit { .. })
 }
 
 /// True when `plan` can be a fused (streaming) member of a chain.
 fn fusable_op(plan: &LogicalPlan) -> bool {
     matches!(
         plan,
-        LogicalPlan::Filter { .. }
-            | LogicalPlan::Project { .. }
-            | LogicalPlan::Join { on: Some(_), .. }
+        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } | LogicalPlan::Join { .. }
     )
 }
 
@@ -75,12 +73,24 @@ enum SinkSpec<'p> {
     Agg { group: &'p [BoundExpr], aggs: &'p [AggCall], schema: &'p PlanSchema },
 }
 
+impl SinkSpec<'_> {
+    /// Rows a Limit sink needs before later morsels can no longer matter.
+    fn limit_target(&self) -> Option<usize> {
+        match self {
+            SinkSpec::Limit { limit: Some(l), offset } => Some(offset + l),
+            _ => None,
+        }
+    }
+}
+
 /// One fused streaming operator, top-down position `chain[i]`.
 struct FusedOp<'p> {
     node: &'p LogicalPlan,
     kind: OpKind<'p>,
-    /// Cumulative output rows across all morsels (row-limit guard + stats).
-    rows: AtomicUsize,
+    /// Output rows over the morsels finished so far, in any order — only a
+    /// hint that stops the queue early once the row limit is certain to
+    /// trip; the merge walk decides the error.
+    rows_seen: AtomicUsize,
 }
 
 enum OpKind<'p> {
@@ -89,11 +99,10 @@ enum OpKind<'p> {
         exprs: &'p [BoundExpr],
         schema: &'p PlanSchema,
     },
-    /// Probe against a built hash table; the build (right) side plan is
+    /// Probe against a built join side; the build (right) side plan is
     /// executed as a breaker before the pipeline starts.
     Probe {
         probe: JoinProbe,
-        n_left: usize,
         schema: &'p PlanSchema,
     },
 }
@@ -108,9 +117,7 @@ struct Decomposed<'p> {
     source: &'p LogicalPlan,
 }
 
-/// Split `plan` into sink, fused chain and source. Returns `None` when the
-/// decomposition would be a no-op (a Table-sink root with nothing fusable
-/// never reaches here because `fusable_root` gates it).
+/// Split a [`fusable_root`] plan into sink, fused chain and source.
 fn decompose(plan: &LogicalPlan) -> Decomposed<'_> {
     let (sink, mut node) = match plan {
         LogicalPlan::Aggregate { input, group, aggs, schema } => {
@@ -161,13 +168,22 @@ enum MorselOut {
     Agg(aggregate::AggPartial),
 }
 
-/// Run one morsel through the fused chain (innermost op first).
+/// One morsel's run: the rows each fused op produced, innermost op first
+/// (cut short at a failing op), and the sink partial or the error.
+struct MorselRun {
+    index: usize,
+    rows: Vec<usize>,
+    out: Result<MorselOut>,
+}
+
+/// Run one morsel through the fused chain (innermost op first), recording
+/// each op's output row count in `op_rows`.
 fn run_chain(
     source: &Table,
     morsel: Range<usize>,
     ops: &[FusedOp<'_>],
     params: &[Value],
-    row_limit: Option<u64>,
+    op_rows: &mut Vec<usize>,
 ) -> Result<Batch> {
     let mut batch = Batch::Range(morsel);
     for op in ops.iter().rev() {
@@ -185,7 +201,7 @@ fn run_chain(
                 Batch::Rows(keep)
             }
             (OpKind::Filter(pred), Batch::Table(t)) => {
-                let keep = eval_filter_indices(pred, &t, params, 1)?;
+                let keep = eval_filter_range(pred, &t, 0..t.row_count(), params)?;
                 if keep.len() == t.row_count() {
                     Batch::Table(t)
                 } else {
@@ -205,48 +221,49 @@ fn run_chain(
                 }
                 Batch::Table(Table::from_columns(storage, columns).map_err(Error::Storage)?)
             }
-            (OpKind::Probe { probe, n_left, schema }, batch) => {
+            (OpKind::Probe { probe, schema }, batch) => {
                 let mut pairs = Vec::new();
                 let joined = match &batch {
                     Batch::Range(r) => {
-                        probe.probe_rows(source, r.clone(), *n_left, params, &mut pairs)?;
+                        probe.probe_rows(source, r.clone(), params, &mut pairs)?;
                         materialize_pairs(source, &probe.right, &pairs, schema)?
                     }
                     Batch::Rows(rows) => {
-                        probe.probe_rows(
-                            source,
-                            rows.iter().copied(),
-                            *n_left,
-                            params,
-                            &mut pairs,
-                        )?;
+                        probe.probe_rows(source, rows.iter().copied(), params, &mut pairs)?;
                         materialize_pairs(source, &probe.right, &pairs, schema)?
                     }
                     Batch::Table(t) => {
-                        probe.probe_rows(t, 0..t.row_count(), *n_left, params, &mut pairs)?;
+                        probe.probe_rows(t, 0..t.row_count(), params, &mut pairs)?;
                         materialize_pairs(t, &probe.right, &pairs, schema)?
                     }
                 };
                 Batch::Table(joined)
             }
         };
-        let produced = op.rows.fetch_add(batch.len(), Ordering::Relaxed) + batch.len();
-        if let Some(limit) = row_limit {
-            if produced as u64 > limit {
-                return Err(Error::Exec(format!(
-                    "row limit exceeded: operator {} produced {produced} rows \
-                     (SET row_limit = {limit}; 0 disables)",
-                    op.node.node_label()
-                )));
-            }
-        }
+        op_rows.push(batch.len());
     }
     Ok(batch)
 }
 
-/// Execute a fusable plan through the morsel pipeline. The caller
-/// (`Executor::execute_inner`) falls back to the barrier path on any
-/// non-timeout error so surfaced errors stay sequential-identical.
+/// Turn a chain's output batch into the sink's per-morsel partial.
+fn sink_partial(
+    sink: &SinkSpec<'_>,
+    source: &Table,
+    batch: Batch,
+    params: &[Value],
+) -> Result<MorselOut> {
+    let SinkSpec::Agg { group, aggs, .. } = sink else { return Ok(MorselOut::Batch(batch)) };
+    let partial = match &batch {
+        Batch::Range(r) => aggregate::aggregate_morsel(source, r.clone(), group, aggs, params)?,
+        Batch::Rows(rows) => {
+            aggregate::aggregate_morsel(source, rows.iter().copied(), group, aggs, params)?
+        }
+        Batch::Table(t) => aggregate::aggregate_morsel(t, 0..t.row_count(), group, aggs, params)?,
+    };
+    Ok(MorselOut::Agg(partial))
+}
+
+/// Execute a [`fusable_root`] plan through the morsel pipeline.
 pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table>> {
     let ctx = ex.ctx();
     let dec = decompose(plan);
@@ -254,10 +271,11 @@ pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table
     let t0 = Instant::now();
 
     // Reserve stats slots for the fused chain top-down, so the rendered
-    // tree keeps the barrier model's pre-order. The root's own slot was
-    // already begun by `Executor::execute`; `Executor`'s depth points one
-    // below the root here.
+    // tree keeps the plan's pre-order. The root's own slot was already
+    // begun by `Executor::execute`; `Executor`'s depth points one below the
+    // root here.
     let base_depth = ex.depth_for_stats();
+    let table_sink = usize::from(matches!(dec.sink, SinkSpec::Table));
     let chain_slots: Vec<Option<usize>> = dec
         .chain
         .iter()
@@ -269,18 +287,18 @@ pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table
             let cell = ctx.stats_cell().expect("stats on");
             // Chain position i sits i nodes below the root; position 0 is
             // the root itself for Table sinks (already recorded).
-            let depth = base_depth + i - usize::from(matches!(dec.sink, SinkSpec::Table));
+            let depth = base_depth + i - table_sink;
             Some(cell.lock().expect("stats lock").begin(node.node_label(), depth))
         })
         .collect();
 
     // Execute the source (breaker boundary) with the right stats depth.
-    let source_depth = base_depth + dec.chain.len()
-        - usize::from(matches!(dec.sink, SinkSpec::Table) && !dec.chain.is_empty());
+    let source_depth =
+        base_depth + dec.chain.len() - usize::from(table_sink == 1 && !dec.chain.is_empty());
     let source = ex.execute_at_depth(dec.source, source_depth)?;
 
-    // Build the probe hash tables bottom-up (pre-order places the deepest
-    // join's build side first).
+    // Build the join sides bottom-up (pre-order places the deepest join's
+    // build side first).
     let pool = Pool::new(ctx.threads());
     let ops = build_fused_ops(ex, &dec, &pool, base_depth)?;
 
@@ -295,121 +313,80 @@ pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table
     let row_limit = ctx.settings().row_limit;
     let deadline = ctx.deadline();
     let produced = AtomicUsize::new(0);
-    let limit_target = match &dec.sink {
-        SinkSpec::Limit { limit: Some(l), offset } => Some(offset + l),
-        _ => None,
-    };
-    let poisoned = AtomicBool::new(false);
+    let limit_target = dec.sink.limit_target();
     let sink = &dec.sink;
     let source_ref: &Table = &source;
     let ops_ref: &[FusedOp<'_>] = &ops;
     let pipe_span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "pipeline"));
 
-    type PipelineWorkerOut = (Vec<(usize, MorselOut)>, Duration, Duration);
-    let worker_results: Vec<std::result::Result<PipelineWorkerOut, Error>> =
-        pool.broadcast(workers, |_w| {
-            let mut local: Vec<(usize, MorselOut)> = Vec::new();
-            let mut wait_total = Duration::ZERO;
-            let mut wait_max = Duration::ZERO;
-            while let Some(m) = queue.next() {
-                let wait = queue_born.elapsed();
-                wait_total += wait;
-                wait_max = wait_max.max(wait);
-                if let Some(reg) = metrics {
-                    reg.observe_queue_wait_us(wait.as_micros() as u64);
-                }
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(d) = deadline {
-                    if d.expired() {
-                        poisoned.store(true, Ordering::Relaxed);
-                        return Err(Error::Timeout { limit_ms: d.limit_ms });
-                    }
-                }
-                let out = (|| -> Result<MorselOut> {
-                    let batch = run_chain(source_ref, m.rows.clone(), ops_ref, params, row_limit)?;
-                    match sink {
-                        SinkSpec::Table | SinkSpec::Limit { .. } => {
-                            if let Some(target) = limit_target {
-                                let total = produced.fetch_add(batch.len(), Ordering::Relaxed)
-                                    + batch.len();
-                                if total >= target {
-                                    // Enough rows: stop handing out morsels.
-                                    queue.stop();
-                                }
-                            }
-                            Ok(MorselOut::Batch(batch))
-                        }
-                        SinkSpec::Agg { group, aggs, .. } => {
-                            let partial = match &batch {
-                                Batch::Range(r) => aggregate::aggregate_morsel(
-                                    source_ref,
-                                    r.clone(),
-                                    group,
-                                    aggs,
-                                    params,
-                                )?,
-                                Batch::Rows(rows) => aggregate::aggregate_morsel(
-                                    source_ref,
-                                    rows.iter().copied(),
-                                    group,
-                                    aggs,
-                                    params,
-                                )?,
-                                Batch::Table(t) => aggregate::aggregate_morsel(
-                                    t,
-                                    0..t.row_count(),
-                                    group,
-                                    aggs,
-                                    params,
-                                )?,
-                            };
-                            Ok(MorselOut::Agg(partial))
-                        }
-                    }
-                })();
-                match out {
-                    Ok(o) => local.push((m.index, o)),
-                    Err(e) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
+    type PipelineWorkerOut = (Vec<MorselRun>, Duration, Duration);
+    let worker_results: Vec<Result<PipelineWorkerOut>> = pool.broadcast(workers, |_w| {
+        let mut local: Vec<MorselRun> = Vec::new();
+        let mut wait_total = Duration::ZERO;
+        let mut wait_max = Duration::ZERO;
+        while let Some(m) = queue.next() {
+            let wait = queue_born.elapsed();
+            wait_total += wait;
+            wait_max = wait_max.max(wait);
+            if let Some(reg) = metrics {
+                reg.observe_queue_wait_us(wait.as_micros() as u64);
+            }
+            if let Some(d) = deadline {
+                if d.expired() {
+                    queue.stop();
+                    return Err(Error::Timeout { limit_ms: d.limit_ms });
                 }
             }
-            Ok((local, wait_total, wait_max))
-        });
+            let mut rows = Vec::with_capacity(ops_ref.len());
+            let out = run_chain(source_ref, m.rows, ops_ref, params, &mut rows)
+                .and_then(|batch| sink_partial(sink, source_ref, batch, params));
+            // Stop handing out morsels once the walk is certain to end at
+            // or before one already handed out: on an error, once the row
+            // limit is overrun, or once a Limit sink has enough rows.
+            let over_limit = row_limit.is_some_and(|limit| {
+                rows.iter().zip(ops_ref.iter().rev()).any(|(&n, op)| {
+                    (op.rows_seen.fetch_add(n, Ordering::Relaxed) + n) as u64 > limit
+                })
+            });
+            let enough = match (&out, limit_target) {
+                (Ok(MorselOut::Batch(b)), Some(target)) => {
+                    produced.fetch_add(b.len(), Ordering::Relaxed) + b.len() >= target
+                }
+                _ => false,
+            };
+            if out.is_err() || over_limit || enough {
+                queue.stop();
+            }
+            local.push(MorselRun { index: m.index, rows, out });
+        }
+        Ok((local, wait_total, wait_max))
+    });
 
-    // Per-worker morsel counts for the pipeline stat, then the partials.
+    // Per-worker morsel counts for the pipeline stat, then the runs.
     let mut per_worker: Vec<usize> = Vec::with_capacity(worker_results.len());
-    let mut items: Vec<(usize, MorselOut)> = Vec::new();
+    let mut runs: Vec<MorselRun> = Vec::new();
     let mut queue_wait = Duration::ZERO;
     let mut queue_wait_max = Duration::ZERO;
-    let mut first_err: Option<Error> = None;
-    for r in worker_results {
-        match r {
-            Ok((local, wait_total, wait_max)) => {
-                per_worker.push(local.len());
-                items.extend(local);
-                queue_wait += wait_total;
-                queue_wait_max = queue_wait_max.max(wait_max);
-            }
-            Err(e @ Error::Timeout { .. }) => return Err(e),
-            Err(e) => {
-                per_worker.push(0);
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
+    let merged = (|| {
+        for r in worker_results {
+            let (local, wait_total, wait_max) = r?;
+            per_worker.push(local.len());
+            runs.extend(local);
+            queue_wait += wait_total;
+            queue_wait_max = queue_wait_max.max(wait_max);
         }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    items.sort_unstable_by_key(|(idx, _)| *idx);
-
-    // Merge in morsel-index order.
-    let out = merge(&dec, plan, &source, items, ctx.params())?;
+        merge(&dec, plan, &source, &ops, runs, row_limit)
+    })();
+    let (out, op_rows) = match merged {
+        Ok(merged) => merged,
+        Err(e) => {
+            // Close the span so a failed statement's trace stays balanced.
+            if let (Some(t), Some(id)) = (ctx.trace(), pipe_span) {
+                t.end(id);
+            }
+            return Err(e);
+        }
+    };
 
     let morsels: usize = per_worker.iter().sum();
     if let Some(reg) = metrics {
@@ -438,9 +415,9 @@ pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table
         let elapsed = t0.elapsed();
         if let Some(cell) = ctx.stats_cell() {
             let mut stats = cell.lock().expect("stats lock");
-            for (slot, op) in chain_slots.iter().zip(&ops) {
+            for (slot, rows) in chain_slots.iter().zip(op_rows) {
                 if let Some(slot) = slot {
-                    stats.finish(*slot, op.rows.load(Ordering::Relaxed), elapsed, None);
+                    stats.finish(*slot, rows, elapsed, None);
                 }
             }
         }
@@ -458,9 +435,6 @@ pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table
     Ok(out)
 }
 
-/// Dummy predicate used as a placeholder while probe builds run.
-static FALSE_PREDICATE: BoundExpr = BoundExpr::Literal(Value::Bool(false));
-
 /// Instantiate the fused operators for a decomposed chain, executing each
 /// join's build (right) side as a breaker. Build sides run deepest-join
 /// first so the stats tree keeps execution pre-order.
@@ -472,220 +446,75 @@ fn build_fused_ops<'p>(
 ) -> Result<Vec<FusedOp<'p>>> {
     let ctx = ex.ctx();
     let mut ops: Vec<FusedOp<'p>> = Vec::with_capacity(dec.chain.len());
-    for node in &dec.chain {
+    for (i, &node) in dec.chain.iter().enumerate().rev() {
         let kind = match node {
             LogicalPlan::Filter { predicate, .. } => OpKind::Filter(predicate),
             LogicalPlan::Project { exprs, schema, .. } => OpKind::Project { exprs, schema },
-            LogicalPlan::Join { .. } => {
-                OpKind::Filter(&FALSE_PREDICATE) // replaced by the build pass below
+            LogicalPlan::Join { left, right, kind, on, schema } => {
+                let depth = base_depth + i + 1 - usize::from(matches!(dec.sink, SinkSpec::Table));
+                let built = ex.execute_at_depth(right, depth)?;
+                let n_left = left.schema().len();
+                let probe =
+                    JoinProbe::build(built, *kind, on.as_ref(), n_left, ctx.params(), pool)?;
+                OpKind::Probe { probe, schema }
             }
             _ => unreachable!("chain holds fusable ops only"),
         };
-        ops.push(FusedOp { node, kind, rows: AtomicUsize::new(0) });
+        ops.push(FusedOp { node, kind, rows_seen: AtomicUsize::new(0) });
     }
-    for i in (0..dec.chain.len()).rev() {
-        if let LogicalPlan::Join { left, right, kind, on, schema } = dec.chain[i] {
-            let depth = base_depth + i + 1 - usize::from(matches!(dec.sink, SinkSpec::Table));
-            let built = ex.execute_at_depth(right, depth)?;
-            let probe = JoinProbe::build(
-                built,
-                *kind,
-                on.as_ref().expect("fused joins carry a condition"),
-                left.schema().len(),
-                ctx.params(),
-                pool,
-            )?;
-            ops[i].kind = OpKind::Probe { probe, n_left: left.schema().len(), schema };
-        }
-    }
+    ops.reverse();
     Ok(ops)
 }
 
-/// True when [`execute_with_extra_columns`] would take the fused path for
-/// `plan`. The graph operators check this before reordering graph
-/// acquisition ahead of their input's execution (they need the vertex key
-/// type to type the extra columns).
-pub(crate) fn fusion_eligible(ctx: &crate::context::ExecContext<'_>, plan: &LogicalPlan) -> bool {
-    if !ctx.pipeline_enabled() || ctx.stats_cell().is_some() || !fusable_root(plan) {
-        return false;
-    }
-    let dec = decompose(plan);
-    matches!(dec.sink, SinkSpec::Table) && chain_materializes(&dec.chain)
-}
-
-/// Pipeline `plan` and evaluate `extras` (expression over the plan's
-/// output, result type) against each morsel's output **in the same fused
-/// pass**, while the morsel is hot in cache. The graph operators use this
-/// to derive their source/dest vertex columns without a second full-table
-/// expression sweep over an intermediate materialized input.
-///
-/// Returns `None` when the plan does not take the fused path — the caller
-/// falls back to execute-then-evaluate. Non-timeout pipeline errors also
-/// return `None`, so the barrier re-run surfaces its deterministic error
-/// message. Disabled while `EXPLAIN ANALYZE` collects statistics (the
-/// barrier path keeps per-operator stats exact).
-pub(crate) fn execute_with_extra_columns(
-    ex: &Executor<'_>,
-    plan: &LogicalPlan,
-    extras: &[(&BoundExpr, DataType)],
-) -> Result<Option<(Arc<Table>, Vec<Column>)>> {
-    if !fusion_eligible(ex.ctx(), plan) {
-        return Ok(None);
-    }
-    match fused_with_extras(ex, plan, extras) {
-        Ok(v) => Ok(Some(v)),
-        Err(e @ Error::Timeout { .. }) => Err(e),
-        Err(_) => Ok(None),
-    }
-}
-
-fn fused_with_extras(
-    ex: &Executor<'_>,
-    plan: &LogicalPlan,
-    extras: &[(&BoundExpr, DataType)],
-) -> Result<(Arc<Table>, Vec<Column>)> {
-    let ctx = ex.ctx();
-    let dec = decompose(plan);
-    let source = ex.execute(dec.source)?;
-    let pool = Pool::new(ctx.threads());
-    let ops = build_fused_ops(ex, &dec, &pool, ex.depth_for_stats())?;
-
-    let queue = MorselQueue::new(source.row_count(), ctx.morsel_rows());
-    let queue_born = Instant::now();
-    let metrics = ctx.metrics().map(Arc::as_ref);
-    let workers = pool.threads().min(queue.morsel_count()).max(1);
-    let params = ctx.params();
-    let row_limit = ctx.settings().row_limit;
-    let deadline = ctx.deadline();
-    let poisoned = AtomicBool::new(false);
-    let source_ref: &Table = &source;
-    let ops_ref: &[FusedOp<'_>] = &ops;
-    let pipe_span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "pipeline"));
-
-    type ExtraItem = (usize, Table, Vec<Column>);
-    let worker_results: Vec<std::result::Result<Vec<ExtraItem>, Error>> =
-        pool.broadcast(workers, |_w| {
-            let mut local: Vec<ExtraItem> = Vec::new();
-            while let Some(m) = queue.next() {
-                if let Some(reg) = metrics {
-                    reg.observe_queue_wait_us(queue_born.elapsed().as_micros() as u64);
-                }
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(d) = deadline {
-                    if d.expired() {
-                        poisoned.store(true, Ordering::Relaxed);
-                        return Err(Error::Timeout { limit_ms: d.limit_ms });
-                    }
-                }
-                let out = (|| -> Result<(Table, Vec<Column>)> {
-                    let batch = run_chain(source_ref, m.rows.clone(), ops_ref, params, row_limit)?;
-                    let Batch::Table(t) = batch else {
-                        unreachable!("a materializing chain yields table batches")
-                    };
-                    let mut cols = Vec::with_capacity(extras.len());
-                    for (e, ty) in extras {
-                        cols.push(eval_to_column(e, &t, params, *ty)?);
-                    }
-                    Ok((t, cols))
-                })();
-                match out {
-                    Ok((t, cols)) => local.push((m.index, t, cols)),
-                    Err(e) => {
-                        poisoned.store(true, Ordering::Relaxed);
-                        return Err(e);
-                    }
-                }
-            }
-            Ok(local)
-        });
-
-    let mut items: Vec<ExtraItem> = Vec::new();
-    let mut first_err: Option<Error> = None;
-    for r in worker_results {
-        match r {
-            Ok(local) => items.extend(local),
-            Err(e @ Error::Timeout { .. }) => return Err(e),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    items.sort_unstable_by_key(|(idx, _, _)| *idx);
-    if let Some(reg) = metrics {
-        reg.record_pipeline(items.len() as u64);
-    }
-    if let (Some(t), Some(id)) = (ctx.trace(), pipe_span) {
-        t.end_with(
-            id,
-            vec![
-                ("label".to_string(), TraceValue::from(pipeline_label(&dec))),
-                ("morsels".to_string(), TraceValue::from(items.len())),
-                ("workers".to_string(), TraceValue::from(workers)),
-            ],
-        );
-    }
-
-    // Concatenate morsel tables and their extra columns in morsel order.
-    let storage = plan.schema().to_storage_schema();
-    let mut columns: Vec<Column> = storage.columns().iter().map(|d| Column::empty(d.ty)).collect();
-    let mut extra_cols: Vec<Column> = extras.iter().map(|(_, ty)| Column::empty(*ty)).collect();
-    for (_, t, cols) in &items {
-        for (c, src) in columns.iter_mut().zip(t.columns()) {
-            c.extend_from(src).map_err(Error::Storage)?;
-        }
-        for (c, src) in extra_cols.iter_mut().zip(cols) {
-            c.extend_from(src).map_err(Error::Storage)?;
-        }
-    }
-    let table = Table::from_columns(storage, columns).map(Arc::new).map_err(Error::Storage)?;
-    // The fused path bypasses `Executor::execute`'s root bookkeeping, so
-    // enforce the row limit on the concatenated output here.
-    ctx.check_row_limit(table.row_count(), || plan.node_label())?;
-    Ok((table, extra_cols))
-}
-
-/// Merge the morsel partials (already sorted by morsel index) into the
-/// root's output.
+/// Walk the morsel runs in morsel-index order into the root's output,
+/// surfacing the first error and row-limit overrun met on the way (see the
+/// module docs). Returns the output and each fused op's output rows
+/// (top-down, like the chain) over the walked morsels.
 fn merge(
     dec: &Decomposed<'_>,
     plan: &LogicalPlan,
     source: &Arc<Table>,
-    items: Vec<(usize, MorselOut)>,
-    params: &[Value],
-) -> Result<Arc<Table>> {
-    match &dec.sink {
-        SinkSpec::Agg { group, aggs, schema } => {
-            let mut merger = aggregate::AggMerger::new(aggs);
-            for (_, out) in items {
-                let MorselOut::Agg(partial) = out else {
-                    unreachable!("agg sink receives agg partials")
-                };
-                merger.push(partial)?;
+    ops: &[FusedOp<'_>],
+    mut runs: Vec<MorselRun>,
+    row_limit: Option<u64>,
+) -> Result<(Arc<Table>, Vec<usize>)> {
+    runs.sort_unstable_by_key(|run| run.index);
+    let take_until = dec.sink.limit_target();
+    let mut merger = match &dec.sink {
+        SinkSpec::Agg { aggs, .. } => Some(aggregate::AggMerger::new(aggs)),
+        _ => None,
+    };
+    let mut op_rows = vec![0usize; ops.len()];
+    let mut batches: Vec<Batch> = Vec::new();
+    let mut total = 0usize;
+    for run in runs {
+        if take_until.is_some_and(|cap| total >= cap) {
+            break;
+        }
+        // `run.rows` is innermost op first; `ops` is top-down.
+        for (i, n) in (0..ops.len()).rev().zip(run.rows) {
+            op_rows[i] += n;
+            if let Some(limit) = row_limit {
+                if op_rows[i] as u64 > limit {
+                    return Err(row_limit_error(&ops[i].node.node_label(), limit));
+                }
             }
-            let _ = params;
-            merger.finish(group.is_empty(), schema)
         }
-        SinkSpec::Table => {
-            let materializing = chain_materializes(&dec.chain);
-            concat_batches(plan, source, items.into_iter().map(|(_, o)| o), None, materializing)
+        match run.out? {
+            MorselOut::Agg(partial) => merger.as_mut().expect("agg sink").push(partial)?,
+            MorselOut::Batch(batch) => {
+                total += batch.len();
+                batches.push(batch);
+            }
         }
+    }
+    let out = match &dec.sink {
+        SinkSpec::Agg { group, schema, .. } => {
+            merger.expect("agg sink").finish(group.is_empty(), schema)?
+        }
+        SinkSpec::Table => concat_batches(plan, source, batches, &dec.chain)?,
         SinkSpec::Limit { limit, offset } => {
-            let materializing = chain_materializes(&dec.chain);
-            let take_until = limit.map(|l| offset + l);
-            let full = concat_batches(
-                plan,
-                source,
-                items.into_iter().map(|(_, o)| o),
-                take_until,
-                materializing,
-            )?;
+            let full = concat_batches(plan, source, batches, &dec.chain)?;
             let n = full.row_count();
             let start = (*offset).min(n);
             let end = match limit {
@@ -693,58 +522,36 @@ fn merge(
                 None => n,
             };
             if start == 0 && end == n {
-                Ok(full)
+                full
             } else {
-                Ok(Arc::new(full.slice_rows(start..end)))
+                Arc::new(full.slice_rows(start..end))
             }
         }
-    }
+    };
+    Ok((out, op_rows))
 }
 
-/// True when the fused chain changes the row shape (project or probe),
-/// i.e. its morsel outputs are materialized tables rather than source-row
-/// index sets.
-fn chain_materializes(chain: &[&LogicalPlan]) -> bool {
-    chain.iter().any(|n| matches!(n, LogicalPlan::Project { .. } | LogicalPlan::Join { .. }))
-}
-
-/// Concatenate batch partials in morsel order. Index batches merge into one
-/// gather (with the keep-all fast path returning the source snapshot);
-/// table batches splice column-at-a-time. `take_until` caps the
-/// concatenation for limit sinks (later rows can never be needed).
+/// Concatenate batches in morsel order. A chain that changes the row
+/// shape (project or probe) yields materialized tables, spliced
+/// column-at-a-time; otherwise the batches are source-row indices, merged
+/// into one gather (with the keep-all fast path returning the source
+/// snapshot).
 fn concat_batches(
     plan: &LogicalPlan,
     source: &Arc<Table>,
-    batches: impl Iterator<Item = MorselOut>,
-    take_until: Option<usize>,
-    materializing: bool,
+    batches: Vec<Batch>,
+    chain: &[&LogicalPlan],
 ) -> Result<Arc<Table>> {
     let mut indices: Vec<usize> = Vec::new();
     let mut tables: Vec<Table> = Vec::new();
-    let mut total = 0usize;
-    for out in batches {
-        let MorselOut::Batch(batch) = out else { unreachable!("table sink receives batches") };
-        if let Some(cap) = take_until {
-            if total >= cap {
-                break;
-            }
-        }
+    for batch in batches {
         match batch {
-            Batch::Range(r) => {
-                total += r.len();
-                indices.extend(r);
-            }
-            Batch::Rows(rows) => {
-                total += rows.len();
-                indices.extend(rows);
-            }
-            Batch::Table(t) => {
-                total += t.row_count();
-                tables.push(t);
-            }
+            Batch::Range(r) => indices.extend(r),
+            Batch::Rows(rows) => indices.extend(rows),
+            Batch::Table(t) => tables.push(t),
         }
     }
-    if materializing {
+    if chain.iter().any(|n| matches!(n, LogicalPlan::Project { .. } | LogicalPlan::Join { .. })) {
         debug_assert!(indices.is_empty(), "a materializing chain produces table batches");
         // `Limit::schema()` delegates to its input, so `plan.schema()` is
         // the outermost fused op's output shape for every sink kind.
@@ -760,8 +567,7 @@ fn concat_batches(
     }
     // Index batches: all rows reference the pipeline source.
     if indices.len() == source.row_count() {
-        // Nothing filtered: reuse the source snapshot (same fast path the
-        // barrier filter has).
+        // Nothing filtered: reuse the source snapshot.
         return Ok(Arc::clone(source));
     }
     Ok(Arc::new(source.take(&indices)))
@@ -794,12 +600,8 @@ fn short_label(node: &LogicalPlan) -> String {
 
 /// `EXPLAIN` rendering with pipeline annotations: members of each pipeline
 /// (sink, fused ops, leaf source) carry ` [pipeline N]`; materializing
-/// internal nodes carry ` [breaker]`. With the pipeline engine off the
-/// plain plan text is returned unchanged.
-pub fn explain_with_pipelines(plan: &LogicalPlan, pipeline_on: bool) -> String {
-    if !pipeline_on {
-        return plan.explain();
-    }
+/// internal nodes carry ` [breaker]`.
+pub fn explain_with_pipelines(plan: &LogicalPlan) -> String {
     let mut out = String::new();
     let mut next_id = 0usize;
     annotate(plan, &mut out, 0, &mut next_id);

@@ -70,7 +70,6 @@ fn metrics_count_queries_pipelines_and_traversals() {
         let m = db.metrics();
         let session = db.session();
         session.set("threads", threads).unwrap();
-        session.set("pipeline", "on").unwrap();
 
         let base_ok = m.queries_total(QueryVerb::Select, QueryOutcome::Ok);
         let base_err = m.queries_total(QueryVerb::Select, QueryOutcome::Error);
@@ -158,6 +157,31 @@ fn attr<'j>(span: &'j Json, key: &str) -> Option<&'j Json> {
     span.get("attrs").and_then(|a| a.get(key))
 }
 
+/// A pipeline that fails still closes its span, so the trace of a failed
+/// statement shows how long the pipeline ran before the error.
+#[test]
+fn failed_pipeline_closes_its_span() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (x INTEGER NOT NULL)").unwrap();
+    let rows: Vec<String> = (0..20_000).map(|x| format!("({x})")).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+    let session = db.session();
+    session.set("trace", "on").unwrap();
+    // Only the last row divides by zero: the pipeline works through every
+    // row before it fails.
+    let err = session.query("SELECT 10 / (t.x - 19999) FROM t").unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+    let doc = json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
+    let roots = doc.as_array().expect("trace JSON is a span array");
+    let statement = find_span(roots, "statement").expect("statement root span");
+    assert_eq!(attr(statement, "outcome").and_then(Json::as_str), Some("error"));
+    let pipeline = find_span(roots, "pipeline").expect("pipeline span under execute");
+    assert!(
+        pipeline.get("dur_us").and_then(Json::as_i64).unwrap_or(0) > 0,
+        "failed pipeline span left open: {pipeline:?}"
+    );
+}
+
 /// `SET trace = on` records a statement -> bind/optimize/execute ->
 /// pipeline span tree for a fused pipeline, and a traversal span with
 /// pair/settled counts for a batched graph join.
@@ -167,7 +191,6 @@ fn trace_records_span_tree_for_pipeline_and_graph_join() {
     db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
     let session = db.session();
     session.set("trace", "on").unwrap();
-    session.set("pipeline", "on").unwrap();
 
     // Fused pipeline shape.
     session.query("SELECT id FROM people WHERE grp = 2").unwrap();
@@ -523,7 +546,6 @@ fn tracing_preserves_thread_equivalence() {
     let run = |threads: &str, trace: &str| -> Vec<String> {
         let session = db.session();
         session.set("threads", threads).unwrap();
-        session.set("pipeline", "on").unwrap();
         session.set("trace", trace).unwrap();
         battery.iter().map(|sql| render(&session.query(sql).unwrap())).collect()
     };

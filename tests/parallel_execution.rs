@@ -6,6 +6,7 @@
 //! this pins the parallel runtime to sequential semantics.
 
 use gsql::{Database, Value};
+use rand::prelude::*;
 
 /// A deterministic pseudo-random database: a layered graph with shortcut
 /// edges, weights, and a `people` table for join shapes.
@@ -57,9 +58,8 @@ fn build_db() -> Database {
 }
 
 /// The query shapes under test: graph select (unweighted + weighted +
-/// path-producing), graph join, hash join, filter fallback, grouped
-/// aggregation (hash-partitioned when parallel), distinct, limit/offset,
-/// union.
+/// path-producing), graph join, cross join + filter, filter, grouped
+/// aggregation, distinct, limit/offset, union.
 fn queries() -> Vec<String> {
     let mut pair_rows = String::new();
     for i in 0..40 {
@@ -244,14 +244,12 @@ fn pipelined_plans_identical_across_thread_counts() {
         let reference = {
             let s = db.session();
             s.set("threads", "1").unwrap();
-            s.set("pipeline", "on").unwrap();
             s.set("morsel_rows", "7").unwrap();
             s.query(&sql).unwrap()
         };
         for threads in ["2", "4", "8"] {
             let s = db.session();
             s.set("threads", threads).unwrap();
-            s.set("pipeline", "on").unwrap();
             s.set("morsel_rows", "7").unwrap();
             let t = s.query(&sql).unwrap();
             assert_eq!(t.row_count(), reference.row_count(), "threads {threads}: {sql}");
@@ -262,30 +260,165 @@ fn pipelined_plans_identical_across_thread_counts() {
     }
 }
 
-/// Pipelined execution must agree with the barrier engine. `morsel_rows`
-/// is pinned high enough that every input here fits one morsel (the
-/// environment may shrink the default — CI runs with GSQL_MORSEL_ROWS=7),
-/// so even float accumulation order matches the sequential fold exactly.
+/// One row of a model table: two nullable integers.
+type ModelRow = [Option<i64>; 2];
+
+/// Random small tables with NULLs, for the model-checked operator suite.
+fn random_model_tables(rng: &mut StdRng) -> (Vec<ModelRow>, Vec<ModelRow>) {
+    let mut cell = |null_pct: u64, lo: i64, hi: i64| {
+        if rng.gen_range(0..100) < null_pct {
+            None
+        } else {
+            Some(rng.gen_range(lo..=hi))
+        }
+    };
+    let na = cell(0, 0, 40).unwrap() as usize;
+    let a = (0..na).map(|_| [cell(10, 0, 6), cell(15, -9, 9)]).collect();
+    let nb = cell(0, 0, 25).unwrap() as usize;
+    let b = (0..nb).map(|_| [cell(10, 0, 6), cell(15, -9, 9)]).collect();
+    (a, b)
+}
+
+fn insert_rows(db: &Database, table: &str, rows: &[ModelRow]) {
+    let lit = |v: Option<i64>| v.map_or("NULL".to_string(), |x| x.to_string());
+    for chunk in rows.chunks(16) {
+        let values: Vec<String> =
+            chunk.iter().map(|[x, y]| format!("({}, {})", lit(*x), lit(*y))).collect();
+        db.execute(&format!("INSERT INTO {table} VALUES {}", values.join(", "))).unwrap();
+    }
+}
+
+fn v(x: Option<i64>) -> Value {
+    x.map_or(Value::Null, Value::Int)
+}
+
+/// Each statement's expected rows, computed in plain Rust over the same
+/// rows: scan order, left-major joins, first-seen groups, SQL NULL rules.
+fn model_cases(
+    a: &[ModelRow],
+    b: &[ModelRow],
+    limit: usize,
+    offset: usize,
+) -> Vec<(String, Vec<Vec<Value>>)> {
+    let mut cases = Vec::new();
+    cases.push((
+        "SELECT a.k, a.v FROM a WHERE a.v > 2".to_string(),
+        a.iter()
+            .filter(|[_, x]| x.is_some_and(|x| x > 2))
+            .map(|&[k, x]| vec![v(k), v(x)])
+            .collect(),
+    ));
+    cases.push((
+        "SELECT a.v * 2 + a.k AS y FROM a WHERE a.k <> 3".to_string(),
+        a.iter()
+            .filter(|[k, _]| k.is_some_and(|k| k != 3))
+            .map(|&[k, x]| vec![v(x.zip(k).map(|(x, k)| x * 2 + k))])
+            .collect(),
+    ));
+    let equi = |outer: bool| -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        for &[k, x] in a {
+            let before = out.len();
+            for &[bk, w] in b {
+                if k.is_some() && k == bk {
+                    out.push(vec![v(k), v(x), v(w)]);
+                }
+            }
+            if outer && out.len() == before {
+                out.push(vec![v(k), v(x), Value::Null]);
+            }
+        }
+        out
+    };
+    cases.push(("SELECT a.k, a.v, b.w FROM a JOIN b ON a.k = b.k".to_string(), equi(false)));
+    cases.push(("SELECT a.k, a.v, b.w FROM a LEFT JOIN b ON a.k = b.k".to_string(), equi(true)));
+    let mut less = Vec::new();
+    let mut cross = Vec::new();
+    for &[ak, x] in a {
+        for &[bk, w] in b {
+            if x.zip(w).is_some_and(|(x, w)| x < w) {
+                less.push(vec![v(x), v(w)]);
+            }
+            cross.push(vec![v(ak), v(bk)]);
+        }
+    }
+    cases.push(("SELECT a.v, b.w FROM a JOIN b ON a.v < b.w".to_string(), less));
+    cases.push(("SELECT a.k, b.k FROM a, b".to_string(), cross));
+    // GROUP BY: groups in first-seen order (the NULL key is one group).
+    let mut keys: Vec<Option<i64>> = Vec::new();
+    for &[k, _] in a {
+        if !keys.contains(&k) {
+            keys.push(k);
+        }
+    }
+    let groups = keys
+        .iter()
+        .map(|&key| {
+            let xs: Vec<i64> =
+                a.iter().filter(|[k, _]| *k == key).filter_map(|[_, x]| *x).collect();
+            let n = a.iter().filter(|[k, _]| *k == key).count() as i64;
+            vec![
+                v(key),
+                Value::Int(n),
+                Value::Int(xs.len() as i64),
+                v((!xs.is_empty()).then(|| xs.iter().sum())),
+                v(xs.iter().copied().min()),
+                v(xs.iter().copied().max()),
+            ]
+        })
+        .collect();
+    cases.push((
+        "SELECT a.k, COUNT(*), COUNT(a.v), SUM(a.v), MIN(a.v), MAX(a.v) FROM a GROUP BY a.k"
+            .to_string(),
+        groups,
+    ));
+    let twos: Vec<i64> = a.iter().filter(|[k, _]| *k == Some(2)).filter_map(|[_, x]| *x).collect();
+    cases.push((
+        "SELECT COUNT(*), SUM(a.v) FROM a WHERE a.k = 2".to_string(),
+        vec![vec![
+            Value::Int(a.iter().filter(|[k, _]| *k == Some(2)).count() as i64),
+            v((!twos.is_empty()).then(|| twos.iter().sum())),
+        ]],
+    ));
+    cases.push((
+        format!("SELECT a.k, a.v FROM a WHERE a.v IS NOT NULL LIMIT {limit} OFFSET {offset}"),
+        a.iter()
+            .filter(|[_, x]| x.is_some())
+            .skip(offset)
+            .take(limit)
+            .map(|&[k, x]| vec![v(k), v(x)])
+            .collect(),
+    ));
+    cases
+}
+
+/// Filter, project, inner/left equi joins, a non-equi join, a cross join,
+/// grouped and global aggregates and LIMIT/OFFSET, checked against a
+/// plain-Rust model of the same random rows at threads {1, 4} ×
+/// `morsel_rows` {7, 65536}: an independent reference for every streaming
+/// operator.
 #[test]
-fn pipeline_matches_barrier_engine() {
-    let db = build_db();
-    for sql in queries().into_iter().chain(pipeline_queries()) {
-        let barrier = {
-            let s = db.session();
-            s.set("pipeline", "off").unwrap();
-            s.set("threads", "4").unwrap();
-            s.query(&sql).unwrap()
-        };
-        let pipelined = {
-            let s = db.session();
-            s.set("pipeline", "on").unwrap();
-            s.set("threads", "4").unwrap();
-            s.set("morsel_rows", "1000000").unwrap();
-            s.query(&sql).unwrap()
-        };
-        assert_eq!(pipelined.row_count(), barrier.row_count(), "{sql}");
-        for r in 0..barrier.row_count() {
-            assert_eq!(pipelined.row(r), barrier.row(r), "row {r}: {sql}");
+fn pipeline_matches_plain_rust_model() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0b5e);
+    for case in 0..16 {
+        let (a, b) = random_model_tables(&mut rng);
+        let db = Database::new();
+        db.execute("CREATE TABLE a (k INTEGER, v INTEGER)").unwrap();
+        db.execute("CREATE TABLE b (k INTEGER, w INTEGER)").unwrap();
+        insert_rows(&db, "a", &a);
+        insert_rows(&db, "b", &b);
+        let (limit, offset) = (rng.gen_range(0..12usize), rng.gen_range(0..20usize));
+        for (sql, want) in model_cases(&a, &b, limit, offset) {
+            for (threads, morsel_rows) in [("1", "7"), ("1", "65536"), ("4", "7"), ("4", "65536")] {
+                let s = db.session();
+                s.set("threads", threads).unwrap();
+                s.set("morsel_rows", morsel_rows).unwrap();
+                let got: Vec<Vec<Value>> = s.query(&sql).unwrap().rows().collect();
+                assert_eq!(
+                    got, want,
+                    "case {case} threads {threads} morsel_rows {morsel_rows}: {sql}"
+                );
+            }
         }
     }
 }
@@ -306,14 +439,12 @@ fn integer_results_invariant_to_morsel_size() {
     for sql in sqls {
         let reference = {
             let s = db.session();
-            s.set("pipeline", "on").unwrap();
             s.set("morsel_rows", "7").unwrap();
             s.set("threads", "8").unwrap();
             s.query(sql).unwrap()
         };
         for morsel_rows in ["1", "64", "100000"] {
             let s = db.session();
-            s.set("pipeline", "on").unwrap();
             s.set("morsel_rows", morsel_rows).unwrap();
             s.set("threads", "8").unwrap();
             let t = s.query(sql).unwrap();
@@ -331,14 +462,10 @@ fn integer_results_invariant_to_morsel_size() {
 #[test]
 fn limit_short_circuit_is_exact_under_concurrency() {
     let db = build_db();
-    let all = {
-        let s = db.session();
-        s.set("pipeline", "off").unwrap();
-        s.query("SELECT e.s, e.d, e.w FROM e WHERE e.w >= 2").unwrap()
-    };
+    // The reference is the same query without LIMIT/OFFSET.
+    let all = db.session().query("SELECT e.s, e.d, e.w FROM e WHERE e.w >= 2").unwrap();
     for (limit, offset) in [(1usize, 0usize), (10, 0), (25, 100), (1000, 0), (50, 380)] {
         let s = db.session();
-        s.set("pipeline", "on").unwrap();
         s.set("morsel_rows", "7").unwrap();
         s.set("threads", "8").unwrap();
         let t = s
@@ -355,12 +482,11 @@ fn limit_short_circuit_is_exact_under_concurrency() {
 }
 
 /// `EXPLAIN` annotates pipeline membership; breakers (sort, distinct,
-/// graph ops) stay barrier nodes and are labelled as such.
+/// graph ops) materialize their input and are labelled as such.
 #[test]
 fn explain_annotates_pipelines_and_breakers() {
     let db = build_db();
     let session = db.session();
-    session.set("pipeline", "on").unwrap();
     let plan = session
         .query("EXPLAIN SELECT e.s % 13 AS g, COUNT(*) AS n FROM e GROUP BY e.s % 13 ORDER BY g")
         .unwrap();
@@ -369,15 +495,6 @@ fn explain_annotates_pipelines_and_breakers() {
     assert!(all.contains("[pipeline 0]"), "no pipeline annotation:\n{all}");
     assert!(all.contains("Sort"), "{all}");
     assert!(all.contains("[breaker]"), "no breaker annotation:\n{all}");
-
-    // With the engine off the plain plan comes back.
-    session.set("pipeline", "off").unwrap();
-    let plan = session
-        .query("EXPLAIN SELECT e.s % 13 AS g, COUNT(*) AS n FROM e GROUP BY e.s % 13 ORDER BY g")
-        .unwrap();
-    let text: Vec<String> = (0..plan.row_count()).map(|i| plan.row(i)[0].to_string()).collect();
-    let all = text.join("\n");
-    assert!(!all.contains("[pipeline"), "pipeline annotation with engine off:\n{all}");
 }
 
 #[test]
@@ -402,5 +519,145 @@ fn threads_setting_is_session_local() {
     assert_eq!(ta.row_count(), tb.row_count());
     for i in 0..ta.row_count() {
         assert_eq!(ta.row(i), tb.row(i));
+    }
+}
+
+/// The error each session surfaces for `sql`, at threads 1, 2 and 8.
+fn errors_at_thread_counts(
+    db: &Database,
+    sql: &str,
+    morsel_rows: &str,
+    row_limit: &str,
+) -> Vec<String> {
+    ["1", "2", "8"]
+        .iter()
+        .map(|threads| {
+            let s = db.session();
+            s.set("threads", threads).unwrap();
+            s.set("morsel_rows", morsel_rows).unwrap();
+            s.set("row_limit", row_limit).unwrap();
+            match s.query(sql) {
+                Ok(t) => panic!("threads {threads} morsel_rows {morsel_rows}: {t:?} for {sql}"),
+                Err(e) => e.to_string(),
+            }
+        })
+        .collect()
+}
+
+/// A failing statement surfaces one error, whatever the thread count: the
+/// first one met walking the morsels in index order (and, inside a morsel,
+/// the fused operators innermost first) — what `threads = 1` reports. The
+/// failing rows sit in several morsels at `morsel_rows = 7`, each with its
+/// own message, so surfacing whichever worker failed first would show.
+#[test]
+fn errors_are_identical_at_every_thread_count() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (x INTEGER NOT NULL, s VARCHAR, r VARCHAR)").unwrap();
+    // `s` fails to cast at x = 17, 67, 117, 167 (morsels 2, 9, 16, 23 at 7
+    // rows per morsel), `r` at x = 40, 90, 140, 190.
+    let rows: Vec<String> = (0..200)
+        .map(|x| {
+            let s = if x % 50 == 17 { format!("bad{x}") } else { x.to_string() };
+            let r = if x % 50 == 40 { format!("r{x}") } else { x.to_string() };
+            format!("({x}, '{s}', '{r}')")
+        })
+        .collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+    db.execute("CREATE TABLE big (x INTEGER NOT NULL, s VARCHAR)").unwrap();
+    let rows: Vec<String> = (0..4000)
+        .map(|x| if x % 500 == 17 { format!("({x}, 'bad{x}')") } else { format!("({x}, '{x}')") })
+        .collect();
+    db.execute(&format!("INSERT INTO big VALUES {}", rows.join(", "))).unwrap();
+
+    // (statement, row_limit, expected error at morsel_rows 7, at 65536)
+    let cases = [
+        // Filter.
+        ("SELECT t.x FROM t WHERE CAST(t.s AS INTEGER) >= 0", "0", "'bad17'", "'bad17'"),
+        // Project.
+        ("SELECT CAST(t.s AS INTEGER) + 1 FROM t", "0", "'bad17'", "'bad17'"),
+        // Join probe: the probe-side key fails.
+        (
+            "SELECT t.x, u.x FROM t JOIN t u ON CAST(t.s AS INTEGER) = u.x",
+            "0",
+            "'bad17'",
+            "'bad17'",
+        ),
+        // Join build: the build-side key fails in every 500-row chunk the
+        // build splits `big` into (it is built before any morsel runs).
+        (
+            "SELECT t.x, big.x FROM t JOIN big ON t.x = CAST(big.s AS INTEGER)",
+            "0",
+            "'bad17'",
+            "'bad17'",
+        ),
+        // Aggregate argument.
+        (
+            "SELECT t.x % 5, SUM(CAST(t.s AS INTEGER)) FROM t GROUP BY t.x % 5",
+            "0",
+            "'bad17'",
+            "'bad17'",
+        ),
+        // Filter and project fail in different morsels: with small morsels
+        // the project error in morsel 2 comes first; one big morsel filters
+        // every row before projecting any.
+        (
+            "SELECT CAST(t.s AS INTEGER) FROM t WHERE CAST(t.r AS INTEGER) >= 0",
+            "0",
+            "'bad17'",
+            "'r40'",
+        ),
+        // The row-limit guard on the probe output (20 matches per row).
+        (
+            "SELECT t.x, u.x FROM t JOIN t u ON t.x % 10 = u.x % 10",
+            "1000",
+            "InnerJoin on ((x % 10) = (x % 10)) produced more than 1000 rows",
+            "InnerJoin on ((x % 10) = (x % 10)) produced more than 1000 rows",
+        ),
+        // Row limit against a probe error: seven-row morsels overrun 500
+        // rows in morsel 3, before the failing row 40 (morsel 5); one big
+        // morsel fails at row 40 before any count is checked.
+        (
+            "SELECT t.x, u.x FROM t JOIN t u ON t.x % 10 = u.x % 10 AND CAST(t.r AS INTEGER) >= 0",
+            "500",
+            "produced more than 500 rows",
+            "'r40'",
+        ),
+    ];
+    for (sql, row_limit, small, big) in cases {
+        for (morsel_rows, expected) in [("7", small), ("65536", big)] {
+            let errors = errors_at_thread_counts(&db, sql, morsel_rows, row_limit);
+            assert!(
+                errors[0].contains(expected),
+                "morsel_rows {morsel_rows}: {errors:?} for {sql}"
+            );
+            assert!(
+                errors.iter().all(|e| *e == errors[0]),
+                "morsel_rows {morsel_rows}: {errors:?} for {sql}"
+            );
+        }
+    }
+}
+
+/// A LIMIT sink ends the in-order walk once its prefix holds enough rows,
+/// so an error in a later morsel never surfaces — and whether it does is
+/// decided by the morsel sequence alone, never the thread count.
+#[test]
+fn limit_drops_errors_after_its_satisfied_prefix() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (x INTEGER NOT NULL)").unwrap();
+    let rows: Vec<String> = (0..5000).map(|x| format!("({x})")).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+    let sql = "SELECT t.x FROM t WHERE CASE WHEN t.x = 20 THEN 1/0 ELSE 1 END = 1 LIMIT 1";
+    for threads in ["1", "2", "8"] {
+        let s = db.session();
+        s.set("threads", threads).unwrap();
+        // Seven-row morsels: morsel 0 satisfies LIMIT 1; row 20 is in morsel 2.
+        s.set("morsel_rows", "7").unwrap();
+        let t = s.query(sql).unwrap();
+        assert_eq!(t.rows().collect::<Vec<_>>(), vec![vec![Value::Int(0)]], "threads {threads}");
+        // One morsel holds every row, row 20 included.
+        s.set("morsel_rows", "65536").unwrap();
+        let err = s.query(sql).unwrap_err();
+        assert!(err.to_string().contains("division by zero"), "threads {threads}: {err}");
     }
 }

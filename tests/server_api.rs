@@ -174,24 +174,21 @@ fn health_stats_and_routing() {
 #[test]
 fn stats_reports_worker_execution_granularity() {
     let db = social_db();
-    let settings = vec![
-        ("pipeline".to_string(), "on".to_string()),
-        ("morsel_rows".to_string(), "1024".to_string()),
-    ];
+    let settings = vec![("morsel_rows".to_string(), "1024".to_string())];
     let server = start(&db, ServerConfig { settings, ..ServerConfig::default() });
     let resp = client::get(server.addr(), "/stats").unwrap();
     assert_eq!(resp.status, 200);
     let doc = json::parse(&resp.body).unwrap();
     let exec = doc.get("execution").expect("stats has execution");
-    assert_eq!(exec.get("pipeline").and_then(Json::as_str), Some("on"));
+    assert!(exec.get("pipeline").is_none(), "pipeline is not a setting: {exec:?}");
     assert_eq!(exec.get("morsel_rows").and_then(Json::as_str), Some("1024"));
     assert!(exec.get("threads").and_then(Json::as_str).is_some());
     server.shutdown();
 }
 
-/// Per-request `pipeline` / `morsel_rows` overrides select the executor
-/// for one statement only, and every configuration returns identical
-/// rows (the engine's determinism contract, observed through HTTP).
+/// Per-request `threads` / `morsel_rows` overrides apply to one statement
+/// only, and every configuration returns identical rows (the engine's
+/// determinism contract, observed through HTTP).
 #[test]
 fn pipeline_overrides_are_per_request_and_results_identical() {
     let db = social_db();
@@ -200,12 +197,12 @@ fn pipeline_overrides_are_per_request_and_results_identical() {
                GROUP BY f.dst ORDER BY f.dst";
     let mut bodies = Vec::new();
     for settings in [
-        Json::Object(vec![("pipeline".to_string(), Json::from("off"))]),
+        Json::Object(vec![("threads".to_string(), Json::Int(1))]),
         Json::Object(vec![
-            ("pipeline".to_string(), Json::from("on")),
+            ("threads".to_string(), Json::Int(4)),
             ("morsel_rows".to_string(), Json::Int(1)),
         ]),
-        Json::Object(vec![("pipeline".to_string(), Json::from("on"))]),
+        Json::Object(vec![]),
     ] {
         let body = Json::Object(vec![
             ("sql".to_string(), Json::from(sql)),

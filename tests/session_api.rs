@@ -88,9 +88,6 @@ fn set_graph_index_off_changes_explain_plan() {
 fn explain_analyze_reports_rows_and_time_for_graph_join() {
     let db = social_db();
     let session = db.session();
-    // Pin the pipelined executor on: the per-pipeline morsel summary
-    // asserted below must not depend on the GSQL_PIPELINE env default.
-    session.set("pipeline", "on").unwrap();
     let t = session
         .query_with_params(
             "EXPLAIN ANALYZE \
