@@ -1,18 +1,27 @@
 //! Per-query execution context and session settings.
 //!
 //! [`ExecContext`] bundles everything a single statement execution needs —
-//! catalog, `?` parameter values, graph-index registry, session settings,
-//! and an optional per-operator statistics collector — and is threaded
+//! catalog, `?` parameter values, index registry, session settings,
+//! deadline, metrics and the statement's trace collector — and is threaded
 //! through binder → optimizer → executor instead of loose arguments. It is
 //! the engine-side counterpart of a [`crate::Session`].
+//!
+//! The trace is the engine's one record of a statement's execution. Layers
+//! open spans through [`ExecContext::span`], whose guard closes the span
+//! when dropped, on error paths too. `EXPLAIN ANALYZE` and
+//! [`ExecContext::take_stats`] read their operator and pipeline lines back
+//! from a verbose trace ([`ExecStats`]); nothing else records them.
 
 use crate::error::{bind_err, Error};
 use crate::path_index::{IndexFamily, IndexRegistry};
-use gsql_obs::{EngineMetrics, SpanId, TraceCollector, TraceLevel, NO_SPAN};
+use crate::plan::LogicalPlan;
+use gsql_obs::{
+    EngineMetrics, SpanId, SpanRecord, TraceCollector, TraceLevel, TraceValue, NO_SPAN,
+};
 use gsql_storage::{Catalog, Value};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type Result<T> = std::result::Result<T, Error>;
@@ -267,8 +276,8 @@ impl Deadline {
     }
 }
 
-/// Execution statistics of one operator instance, recorded by the executor
-/// when statistics collection is enabled (`EXPLAIN ANALYZE`).
+/// Execution statistics of one operator instance: one operator span of the
+/// statement trace (see [`ExecStats`]).
 #[derive(Debug, Clone)]
 pub struct OpStats {
     /// The operator's one-line plan label (same text as `EXPLAIN`).
@@ -280,12 +289,13 @@ pub struct OpStats {
     /// Inclusive wall time (operator plus its inputs).
     pub elapsed: Duration,
     /// Operator-specific extra detail, e.g. the settled-vertex count of an
-    /// ALT-accelerated graph operator (`settled=12 (alt)`).
+    /// ALT-accelerated graph operator (`settled=12 (alt)`): the `detail`
+    /// of a `traversal` span directly inside the operator.
     pub detail: Option<String>,
 }
 
-/// Execution statistics of one morsel-driven pipeline, recorded by the
-/// pipeline engine when statistics collection is enabled.
+/// Execution statistics of one morsel-driven pipeline: one `pipeline` span
+/// of the statement trace.
 #[derive(Debug, Clone)]
 pub struct PipelineStat {
     /// The fused chain's human label, e.g. `scan people -> filter -> probe`.
@@ -299,7 +309,7 @@ pub struct PipelineStat {
     /// Workers that participated (grabbed at least zero morsels — the
     /// broadcast width).
     pub workers: usize,
-    /// Wall time from first morsel grab to sink merge completion.
+    /// Wall time of the morsel loop and the in-order merge.
     pub elapsed: Duration,
     /// Summed time morsels sat in the queue before a worker pulled them
     /// (queue creation to grab). Divide by `morsels` for the average.
@@ -308,46 +318,69 @@ pub struct PipelineStat {
     pub queue_wait_max: Duration,
 }
 
-/// Per-operator statistics of one executed statement, in execution
-/// (pre-)order. Operators that were skipped at runtime — e.g. an edge-table
-/// scan satisfied by a graph index — do not appear.
-///
-/// The collector lives behind a [`Mutex`] in [`ExecContext`], so operator
-/// bodies may run work on a pool of threads while the (single-threaded)
-/// plan walk records begin/finish events.
+/// Per-operator and per-pipeline statistics of one executed statement,
+/// read from its verbose trace: every span that carries `rows` is an
+/// operator, in execution (pre-)order, and every `pipeline` span a
+/// pipeline, in completion order. Operators that were skipped at runtime —
+/// e.g. an edge-table scan satisfied by a graph index — opened no span and
+/// do not appear.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     /// One entry per executed operator.
     pub ops: Vec<OpStats>,
-    /// One entry per executed pipeline (morsel-driven execution only), in
-    /// completion order.
+    /// One entry per executed pipeline, in completion order.
     pub pipelines: Vec<PipelineStat>,
 }
 
 impl ExecStats {
-    /// Reserve the slot for an operator about to run; returns its index.
-    pub(crate) fn begin(&mut self, label: String, depth: usize) -> usize {
-        self.ops.push(OpStats { label, depth, rows: 0, elapsed: Duration::ZERO, detail: None });
-        self.ops.len() - 1
-    }
-
-    /// Fill in an operator's results.
-    pub(crate) fn finish(
-        &mut self,
-        idx: usize,
-        rows: usize,
-        elapsed: Duration,
-        detail: Option<String>,
-    ) {
-        let op = &mut self.ops[idx];
-        op.rows = rows;
-        op.elapsed = elapsed;
-        op.detail = detail;
-    }
-
-    /// Record one completed pipeline's morsel statistics.
-    pub(crate) fn record_pipeline(&mut self, stat: PipelineStat) {
-        self.pipelines.push(stat);
+    /// The statistics of the spans below `root` ([`NO_SPAN`] = all). A
+    /// span's parent always precedes it, so one pass in id order sees each
+    /// operator before everything nested in it — execution pre-order.
+    fn from_spans(spans: &[SpanRecord], root: SpanId) -> ExecStats {
+        let mut stats = ExecStats::default();
+        // Per span inside the subtree: the depth its children sit at, and
+        // the innermost operator enclosing it (itself included).
+        let mut scope: Vec<Option<(usize, Option<usize>)>> = Vec::with_capacity(spans.len());
+        for span in spans {
+            let outer = if span.parent == root {
+                Some((0, None))
+            } else {
+                scope.get(span.parent as usize).copied().flatten()
+            };
+            let Some((depth, owner)) = outer else {
+                scope.push(None);
+                continue;
+            };
+            if let Some(rows) = span.int("rows") {
+                scope.push(Some((depth + 1, Some(stats.ops.len()))));
+                stats.ops.push(OpStats {
+                    label: span.name.clone(),
+                    depth,
+                    rows: rows as usize,
+                    elapsed: Duration::from_micros(span.dur_us),
+                    detail: None,
+                });
+                continue;
+            }
+            scope.push(Some((depth, owner)));
+            if span.name == "pipeline" {
+                let count = |key: &str| span.int(key).unwrap_or(0) as usize;
+                let us = |key: &str| Duration::from_micros(count(key) as u64);
+                stats.pipelines.push(PipelineStat {
+                    label: span.str("label").unwrap_or_default().to_string(),
+                    morsels: count("morsels"),
+                    min_per_worker: count("min_per_worker"),
+                    max_per_worker: count("max_per_worker"),
+                    workers: count("workers"),
+                    elapsed: Duration::from_micros(span.dur_us),
+                    queue_wait: us("queue_wait_us"),
+                    queue_wait_max: us("queue_wait_max_us"),
+                });
+            } else if let (Some(detail), Some(op)) = (span.str("detail"), owner) {
+                stats.ops[op].detail = Some(detail.to_string());
+            }
+        }
+        stats
     }
 
     /// Render the annotated plan tree (`EXPLAIN ANALYZE` output): one line
@@ -413,20 +446,18 @@ pub struct ExecContext<'a> {
     indexes: Option<&'a IndexRegistry>,
     settings: SessionSettings,
     deadline: Option<Deadline>,
-    stats: Option<Mutex<ExecStats>>,
-    /// Detail text set by the operator currently executing (e.g. ALT
-    /// settled-vertex counts), claimed by the executor when it records the
-    /// operator's statistics. Only populated when stats are collected.
-    pending_detail: Mutex<Option<String>>,
     /// The engine-wide metrics registry, when attached by a session. All
     /// hot-path instruments are relaxed atomics, so recording never
     /// perturbs results or thread-equivalence.
     metrics: Option<Arc<EngineMetrics>>,
-    /// The per-statement trace collector, when `SET trace` is on.
+    /// The per-statement trace collector, when `SET trace` is on or the
+    /// statement is an `EXPLAIN ANALYZE`.
     trace: Option<Arc<TraceCollector>>,
-    /// The span new child spans attach under ([`NO_SPAN`] = root). An
-    /// atomic so the single-threaded plan walk can save/swap/restore it
-    /// through a `&self` borrow.
+    /// The span this context's spans nest under ([`NO_SPAN`] = none).
+    trace_root: SpanId,
+    /// The span new child spans attach under: the innermost open
+    /// [`SpanGuard`], else `trace_root`. An atomic so the single-threaded
+    /// plan walk can move it through a `&self` borrow.
     trace_parent: AtomicU32,
 }
 
@@ -443,10 +474,9 @@ impl<'a> ExecContext<'a> {
             indexes,
             settings: SessionSettings::default(),
             deadline: None,
-            stats: None,
-            pending_detail: Mutex::new(None),
             metrics: None,
             trace: None,
+            trace_root: NO_SPAN,
             trace_parent: AtomicU32::new(NO_SPAN),
         }
     }
@@ -465,10 +495,10 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Enable per-operator statistics collection (builder style).
-    pub fn with_stats(mut self) -> ExecContext<'a> {
-        self.stats = Some(Mutex::new(ExecStats::default()));
-        self
+    /// Record a verbose trace of execution, which [`ExecContext::take_stats`]
+    /// reads (builder style). Replaces any attached collector.
+    pub fn with_stats(self) -> ExecContext<'a> {
+        self.with_trace(Some(Arc::new(TraceCollector::unbounded(TraceLevel::Verbose))), NO_SPAN)
     }
 
     /// Attach a wall-clock deadline (builder style). `None` leaves the
@@ -492,6 +522,7 @@ impl<'a> ExecContext<'a> {
         parent: SpanId,
     ) -> ExecContext<'a> {
         self.trace = trace;
+        self.trace_root = parent;
         self.trace_parent = AtomicU32::new(parent);
         self
     }
@@ -515,19 +546,6 @@ impl<'a> ExecContext<'a> {
             IndexFamily::Path => self.settings.path_index,
         };
         self.indexes.filter(|_| enabled)
-    }
-
-    /// Record extra statistics detail for the operator currently executing
-    /// (no-op unless `EXPLAIN ANALYZE` is collecting).
-    pub(crate) fn record_op_detail(&self, detail: String) {
-        if self.stats.is_some() {
-            *self.pending_detail.lock().expect("detail lock") = Some(detail);
-        }
-    }
-
-    /// Claim the pending operator detail (executor side).
-    pub(crate) fn take_op_detail(&self) -> Option<String> {
-        self.pending_detail.lock().expect("detail lock").take()
     }
 
     /// The session settings in effect.
@@ -571,57 +589,54 @@ impl<'a> ExecContext<'a> {
         self.settings.morsel_rows.max(1)
     }
 
-    /// Record one completed pipeline's morsel statistics (no-op unless
-    /// `EXPLAIN ANALYZE` is collecting).
-    pub(crate) fn record_pipeline_stat(&self, stat: PipelineStat) {
-        if let Some(cell) = &self.stats {
-            cell.lock().expect("stats lock").record_pipeline(stat);
-        }
-    }
-
-    /// The statistics collector, when enabled.
-    pub(crate) fn stats_cell(&self) -> Option<&Mutex<ExecStats>> {
-        self.stats.as_ref()
-    }
-
     /// The engine metrics registry, when a session attached one.
     pub(crate) fn metrics(&self) -> Option<&Arc<EngineMetrics>> {
         self.metrics.as_ref()
     }
 
-    /// The per-statement trace collector, when tracing is on.
-    pub(crate) fn trace(&self) -> Option<&Arc<TraceCollector>> {
-        self.trace.as_ref()
-    }
-
-    /// True when the statement traces at [`TraceLevel::Verbose`].
-    pub(crate) fn trace_verbose(&self) -> bool {
-        self.trace.is_some() && self.settings.trace == TraceLevel::Verbose
-    }
-
-    /// The span id new child spans attach under ([`NO_SPAN`] = root).
+    /// The span new child spans attach under ([`NO_SPAN`] = root).
     pub(crate) fn trace_parent(&self) -> SpanId {
         self.trace_parent.load(Ordering::Relaxed)
     }
 
-    /// Re-point the trace parent, returning the previous value so callers
-    /// can restore it (the plan walk is single-threaded).
-    pub(crate) fn swap_trace_parent(&self, parent: SpanId) -> SpanId {
-        self.trace_parent.swap(parent, Ordering::Relaxed)
+    /// Open a span named `name` under the current parent; it is the parent
+    /// of new spans until its guard drops. Inert when the statement is not
+    /// traced.
+    pub(crate) fn span(&self, name: &str) -> SpanGuard<'_> {
+        let id = match &self.trace {
+            Some(t) => t.begin(self.trace_parent(), name),
+            None => NO_SPAN,
+        };
+        let prev =
+            if id == NO_SPAN { NO_SPAN } else { self.trace_parent.swap(id, Ordering::Relaxed) };
+        SpanGuard { ctx: self, id, prev }
     }
 
-    /// Open a child span under the current trace parent. Returns `None`
-    /// (and does nothing) when tracing is off.
-    pub(crate) fn trace_begin(&self, name: &str) -> Option<SpanId> {
-        self.trace.as_ref().map(|t| t.begin(self.trace_parent(), name))
+    /// Open the span of one plan operator, labelled like its `EXPLAIN`
+    /// line, when the collector is verbose; inert otherwise.
+    pub(crate) fn op_span(&self, plan: &LogicalPlan) -> SpanGuard<'_> {
+        match &self.trace {
+            Some(t) if t.level() == TraceLevel::Verbose => self.span(&plan.node_label()),
+            _ => SpanGuard { ctx: self, id: NO_SPAN, prev: NO_SPAN },
+        }
     }
 
-    /// Extract the collected statistics (empty if collection was off).
+    /// Run `f` with new spans attaching under `parent`.
+    pub(crate) fn within<T>(&self, parent: SpanId, f: impl FnOnce() -> T) -> T {
+        let prev = self.trace_parent.swap(parent, Ordering::Relaxed);
+        let out = f();
+        self.trace_parent.store(prev, Ordering::Relaxed);
+        out
+    }
+
+    /// The operator and pipeline statistics of the execution traced so far
+    /// (empty unless the collector is verbose, as [`ExecContext::with_stats`]
+    /// and `EXPLAIN ANALYZE` make it).
     pub fn take_stats(&self) -> ExecStats {
-        self.stats
-            .as_ref()
-            .map(|s| std::mem::take(&mut *s.lock().expect("stats lock")))
-            .unwrap_or_default()
+        match &self.trace {
+            Some(t) => t.read(|spans| ExecStats::from_spans(spans, self.trace_root)),
+            None => ExecStats::default(),
+        }
     }
 
     /// Enforce the session row limit on one operator's output. The label is
@@ -634,6 +649,43 @@ impl<'a> ExecContext<'a> {
         match self.settings.row_limit {
             Some(limit) if rows as u64 > limit => Err(row_limit_error(&operator(), limit)),
             _ => Ok(()),
+        }
+    }
+}
+
+/// An open span of the statement trace, from [`ExecContext::span`]. While
+/// open it is the parent of new spans; dropping it closes the span and
+/// restores the previous parent, on every exit path. Inert (every method a
+/// no-op) when the statement is not traced.
+#[must_use = "the span closes when the guard drops"]
+pub(crate) struct SpanGuard<'c> {
+    ctx: &'c ExecContext<'c>,
+    /// [`NO_SPAN`] when inert.
+    id: SpanId,
+    /// The parent to restore on drop.
+    prev: SpanId,
+}
+
+impl SpanGuard<'_> {
+    /// True when the span is recorded; attribute values that cost work to
+    /// compute are built only then.
+    pub(crate) fn is_recording(&self) -> bool {
+        self.id != NO_SPAN
+    }
+
+    /// Attach one attribute.
+    pub(crate) fn attr(&self, key: &str, value: impl Into<TraceValue>) {
+        if let (true, Some(t)) = (self.is_recording(), &self.ctx.trace) {
+            t.attr(self.id, key, value.into());
+        }
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        if let (true, Some(t)) = (self.is_recording(), &self.ctx.trace) {
+            self.ctx.trace_parent.store(self.prev, Ordering::Relaxed);
+            t.end(self.id);
         }
     }
 }
@@ -811,28 +863,56 @@ mod tests {
     }
 
     #[test]
-    fn stats_render_indents_by_depth() {
-        let mut stats = ExecStats::default();
-        let a = stats.begin("Filter x".into(), 0);
-        let b = stats.begin("Scan t".into(), 1);
-        stats.finish(b, 10, Duration::from_micros(50), None);
-        stats.finish(a, 3, Duration::from_micros(120), Some("settled=7 (alt)".into()));
-        stats.record_pipeline(PipelineStat {
-            label: "scan t -> filter".into(),
-            morsels: 9,
-            min_per_worker: 1,
-            max_per_worker: 5,
-            workers: 3,
-            elapsed: Duration::from_micros(80),
-            queue_wait: Duration::from_micros(45),
-            queue_wait_max: Duration::from_micros(20),
-        });
+    fn stats_read_operators_and_pipelines_from_the_span_tree() {
+        let catalog = Catalog::new();
+        let ctx = ExecContext::new(&catalog, &[], None).with_stats();
+        let t = Arc::clone(ctx.trace.as_ref().expect("with_stats attaches a collector"));
+        {
+            let filter = ctx.span("Filter x");
+            {
+                let scan = ctx.span("Scan t");
+                scan.attr("rows", 10usize);
+            }
+            let pipeline = ctx.span("pipeline");
+            for (key, value) in [
+                ("morsels", 9),
+                ("min_per_worker", 1),
+                ("max_per_worker", 5),
+                ("workers", 3),
+                ("queue_wait_us", 45),
+                ("queue_wait_max_us", 20),
+            ] {
+                pipeline.attr(key, value as i64);
+            }
+            pipeline.attr("label", "scan t -> filter");
+            drop(pipeline);
+            let traversal = ctx.span("traversal");
+            traversal.attr("detail", "settled=7 (alt)");
+            drop(traversal);
+            filter.attr("rows", 3usize);
+        }
+        assert_eq!(ctx.trace_parent(), NO_SPAN, "dropped guards restore the parent");
+        assert_eq!(t.span_count(), 4);
+        let stats = ctx.take_stats();
+        assert_eq!(stats.ops.len(), 2);
+        assert_eq!((stats.ops[1].depth, stats.ops[1].rows), (1, 10));
         let text = stats.render();
-        assert!(text.contains("Filter x (rows=3"));
-        assert!(text.contains("settled=7 (alt))"));
-        assert!(text.contains("  Scan t (rows=10"));
+        assert!(text.contains("Filter x (rows=3"), "{text}");
+        assert!(text.contains("settled=7 (alt))"), "{text}");
+        assert!(text.contains("\n  Scan t (rows=10"), "{text}");
         assert!(text.contains("Pipeline 0: scan t -> filter (morsels=9"), "{text}");
         assert!(text.contains("per-worker min=1 max=5 of 3 worker(s)"), "{text}");
         assert!(text.contains("queue-wait avg=5us max=20us"), "{text}");
+    }
+
+    #[test]
+    fn untraced_context_records_nothing() {
+        let catalog = Catalog::new();
+        let ctx = ExecContext::new(&catalog, &[], None);
+        let span = ctx.span("execute");
+        assert!(!span.is_recording());
+        span.attr("rows", 1usize);
+        drop(span);
+        assert!(ctx.take_stats().ops.is_empty());
     }
 }

@@ -6,9 +6,10 @@
 //! path row-references zero-copy.
 //!
 //! The executor is driven by an [`ExecContext`]: catalog, `?` parameters,
-//! graph indexes, session settings (row-limit guard, graph-index flag,
-//! degree of parallelism) and — for `EXPLAIN ANALYZE` — a thread-safe
-//! per-operator statistics collector.
+//! indexes, session settings (row-limit guard, index flags, degree of
+//! parallelism) and the statement trace. Under a verbose trace every
+//! operator runs inside its own span, which records its output `rows`;
+//! `EXPLAIN ANALYZE` renders those spans.
 //!
 //! Filter, Project, Join, Aggregate and Limit have one implementation: the
 //! morsel pipeline (`pipeline.rs`), which fuses chains of them over one
@@ -26,29 +27,24 @@ use crate::error::{exec_err, Error};
 use crate::exec::expression::{eval, eval_const, eval_to_column};
 use crate::exec::{graph_op, pipeline, unnest};
 use crate::plan::{BoundExpr, LogicalPlan, SortKey};
-use gsql_obs::TraceValue;
 use gsql_parallel::Pool;
 use gsql_storage::{Column, Table, Value};
-use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::Instant;
 
 type Result<T> = std::result::Result<T, Error>;
 
 /// Executes logical plans against an [`ExecContext`].
 pub struct Executor<'a> {
     ctx: &'a ExecContext<'a>,
-    /// Current plan depth, tracked for statistics indentation.
-    depth: Cell<usize>,
 }
 
 impl<'a> Executor<'a> {
     /// Create an executor over a context.
     pub fn new(ctx: &'a ExecContext<'a>) -> Executor<'a> {
-        Executor { ctx, depth: Cell::new(0) }
+        Executor { ctx }
     }
 
     /// The execution context.
@@ -58,81 +54,21 @@ impl<'a> Executor<'a> {
 
     /// Execute a plan to a materialized table.
     ///
-    /// When the context collects statistics, every call records the
-    /// operator's label, depth, output rows and inclusive wall time; when a
-    /// session row limit is set, any operator output exceeding it aborts
-    /// the query.
+    /// Under a verbose trace the operator runs inside its own span, closed
+    /// with the output row count; when a session row limit is set, any
+    /// operator output exceeding it aborts the query.
     pub fn execute(&self, plan: &LogicalPlan) -> Result<Arc<Table>> {
         // The statement deadline is checked once per operator here — the
         // executor's operator loop — and at finer grain inside the graph
         // traversal batches (see `graph_op`), so timeouts interrupt long
         // statements mid-flight.
         self.ctx.check_deadline()?;
-        // Verbose tracing opens one span per operator. The plan walk is
-        // single-threaded, so save/restore of the parent pointer nests
-        // children correctly; the span is closed on both success and error
-        // paths so the tree stays balanced.
-        let op_span = if self.ctx.trace_verbose() {
-            self.ctx.trace_begin(&plan.node_label()).map(|id| (id, self.ctx.swap_trace_parent(id)))
-        } else {
-            None
-        };
-        let result = match self.ctx.stats_cell() {
-            None => self.execute_inner(plan),
-            Some(cell) => {
-                let depth = self.depth.get();
-                let idx = cell.lock().expect("stats lock").begin(plan.node_label(), depth);
-                self.depth.set(depth + 1);
-                let t0 = Instant::now();
-                let result = self.execute_inner(plan);
-                self.depth.set(depth);
-                // Operator bodies may have left extra detail (e.g. ALT
-                // settled-vertex counts); it belongs to this operator.
-                let detail = self.ctx.take_op_detail();
-                if let Ok(t) = &result {
-                    cell.lock().expect("stats lock").finish(
-                        idx,
-                        t.row_count(),
-                        t0.elapsed(),
-                        detail,
-                    );
-                }
-                result
-            }
-        };
-        if let Some((id, prev)) = op_span {
-            self.ctx.swap_trace_parent(prev);
-            if let Some(t) = self.ctx.trace() {
-                match &result {
-                    Ok(table) => t.end_with(
-                        id,
-                        vec![("rows".to_string(), TraceValue::from(table.row_count() as i64))],
-                    ),
-                    Err(_) => t.end(id),
-                }
-            }
-        }
-        let out = result?;
+        let span = self.ctx.op_span(plan);
+        let out = self.execute_inner(plan)?;
+        span.attr("rows", out.row_count());
+        drop(span);
         self.ctx.check_row_limit(out.row_count(), || plan.node_label())?;
         Ok(out)
-    }
-
-    /// The stats depth assigned to children of the operator currently being
-    /// executed (the pipeline module synthesizes fused-operator slots at
-    /// explicit depths).
-    pub(crate) fn depth_for_stats(&self) -> usize {
-        self.depth.get()
-    }
-
-    /// Execute a sub-plan with its root recorded at an explicit stats
-    /// depth. Used by the pipeline engine, whose fused chains flatten the
-    /// recursion the depth counter normally tracks.
-    pub(crate) fn execute_at_depth(&self, plan: &LogicalPlan, depth: usize) -> Result<Arc<Table>> {
-        let prev = self.depth.get();
-        self.depth.set(depth);
-        let result = self.execute(plan);
-        self.depth.set(prev);
-        result
     }
 
     fn execute_inner(&self, plan: &LogicalPlan) -> Result<Arc<Table>> {

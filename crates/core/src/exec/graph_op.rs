@@ -28,7 +28,7 @@ use gsql_graph::batch::CostValue;
 use gsql_graph::{
     BatchComputer, Csr, GraphError, PairResult, TraversalKind, TraversalObserver, WeightSpec,
 };
-use gsql_obs::{EngineMetrics, TraceValue};
+use gsql_obs::EngineMetrics;
 use gsql_storage::{Column, ColumnBuilder, DataType, PathValue, Table, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -291,8 +291,9 @@ struct EdgeGraph {
 ///    an accelerator that serves every spec: one pair goes to the
 ///    point-to-point search, more pairs to the many-to-many tier. The plain
 ///    tier ([`BatchComputer`]) runs otherwise.
-/// 3. One `traversal` span, the traversal metrics and the `EXPLAIN
-///    ANALYZE` detail are recorded here, whichever tier ran.
+/// 3. One `traversal` span and the traversal metrics are recorded here,
+///    whichever tier ran. An accelerated span carries the `EXPLAIN
+///    ANALYZE` detail as its `detail` attribute.
 ///
 /// Costs are bit-identical across tiers and thread counts. The context
 /// supplies the `?` parameters, the worker-pool width and the statement
@@ -310,31 +311,23 @@ fn run_traversals(
         !pairs.is_empty() && specs.iter().all(|s| spec_accel_eligible(s, data.weight_key))
     });
     let observer = MetricsObserver::new(ctx.metrics().map(Arc::as_ref));
-    let span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "traversal"));
-    let mut accel_kind = None;
+    let span = ctx.span("traversal");
     let result = match accel {
         Some(data) => search_accelerated(data, pairs, ctx).map(|batch| {
-            accel_kind = Some(batch.kind);
             observer.record(batch.kind, batch.settled);
-            ctx.record_op_detail(batch.detail);
+            span.attr("kind", batch.kind);
+            span.attr("detail", batch.detail);
             accelerated_results(&batch.dist, specs, scales)
         }),
         None => search_plain(eg, pairs, specs, scales, ctx, &observer),
     };
-    if let (Some(t), Some(id)) = (ctx.trace(), span) {
+    if span.is_recording() {
         let (traversals, settled) = observer.totals();
-        let attr = |name: &str, value: TraceValue| (name.to_string(), value);
-        let pairs = attr("pairs", TraceValue::from(pairs.len() as i64));
-        let settled = attr("settled", TraceValue::from(settled as i64));
-        t.end_with(
-            id,
-            match accel_kind {
-                Some(kind) => vec![attr("kind", TraceValue::from(kind)), pairs, settled],
-                None => {
-                    vec![pairs, attr("traversals", TraceValue::from(traversals as i64)), settled]
-                }
-            },
-        );
+        span.attr("pairs", pairs.len());
+        if accel.is_none() {
+            span.attr("traversals", traversals as usize);
+        }
+        span.attr("settled", settled as usize);
     }
     result
 }
@@ -495,22 +488,12 @@ fn obtain_graph(
         }
     }
     let edges = ex.execute(edge)?;
-    let span = ctx.trace_begin("graph_build");
-    let built = build_graph_with_threads(edges, src_key, dst_key, ctx.threads());
-    if let (Some(t), Some(id)) = (ctx.trace(), span) {
-        match &built {
-            Ok(graph) => t.end_with(
-                id,
-                vec![
-                    ("vertices".to_string(), TraceValue::from(graph.num_vertices() as i64)),
-                    ("edges".to_string(), TraceValue::from(graph.num_edges() as i64)),
-                    ("dict".to_string(), TraceValue::from(graph.dict.form())),
-                ],
-            ),
-            Err(_) => t.end(id),
-        }
-    }
-    Ok(EdgeGraph { graph: Arc::new(built?), from_index: false, accel: None })
+    let span = ctx.span("graph_build");
+    let graph = build_graph_with_threads(edges, src_key, dst_key, ctx.threads())?;
+    span.attr("vertices", graph.num_vertices() as usize);
+    span.attr("edges", graph.num_edges());
+    span.attr("dict", graph.dict.form());
+    Ok(EdgeGraph { graph: Arc::new(graph), from_index: false, accel: None })
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -31,14 +31,22 @@
 //! each operator's cumulative output in morsel order. A Limit sink ends
 //! the walk once its in-order prefix holds `offset + limit` rows, so an
 //! error in a later morsel is dropped. Only timeouts abort immediately.
+//!
+//! Tracing: each pipeline records one `pipeline` span (label, morsel and
+//! worker counts, queue wait). Under a verbose trace the fused operators
+//! below the root also get one span each, nested top-down like the plan,
+//! with the source and each join's build side executing inside the span
+//! of the operator that consumes them, and each closes with its output
+//! `rows` over the walked morsels. So a verbose trace lists the same
+//! operators as `EXPLAIN ANALYZE`, which is rendered from it.
 
-use crate::context::{row_limit_error, PipelineStat};
+use crate::context::{row_limit_error, SpanGuard};
 use crate::error::Error;
 use crate::exec::expression::{eval, eval_filter_range, eval_to_column};
 use crate::exec::join::{materialize_pairs, JoinProbe};
 use crate::exec::{aggregate, Executor};
 use crate::plan::{AggCall, BoundExpr, LogicalPlan, PlanSchema};
-use gsql_obs::TraceValue;
+use gsql_obs::SpanId;
 use gsql_parallel::{MorselQueue, Pool};
 use gsql_storage::{Column, Table, Value};
 use std::ops::Range;
@@ -267,40 +275,28 @@ fn sink_partial(
 pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table>> {
     let ctx = ex.ctx();
     let dec = decompose(plan);
-    let stats_on = ctx.stats_cell().is_some();
-    let t0 = Instant::now();
 
-    // Reserve stats slots for the fused chain top-down, so the rendered
-    // tree keeps the plan's pre-order. The root's own slot was already
-    // begun by `Executor::execute`; `Executor`'s depth points one below the
-    // root here.
-    let base_depth = ex.depth_for_stats();
-    let table_sink = usize::from(matches!(dec.sink, SinkSpec::Table));
-    let chain_slots: Vec<Option<usize>> = dec
+    // One span per fused op (the root's is already open in
+    // `Executor::execute`), each paired with the span its inputs open
+    // under. Innermost first, so the vector drops in reverse order of
+    // opening.
+    let mut members: Vec<(Option<SpanGuard<'_>>, SpanId)> = dec
         .chain
         .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            if !stats_on || std::ptr::eq(*node, plan) {
-                return None;
-            }
-            let cell = ctx.stats_cell().expect("stats on");
-            // Chain position i sits i nodes below the root; position 0 is
-            // the root itself for Table sinks (already recorded).
-            let depth = base_depth + i - table_sink;
-            Some(cell.lock().expect("stats lock").begin(node.node_label(), depth))
+        .map(|&node| {
+            let span = (!std::ptr::eq(node, plan)).then(|| ctx.op_span(node));
+            (span, ctx.trace_parent())
         })
         .collect();
+    members.reverse();
 
-    // Execute the source (breaker boundary) with the right stats depth.
-    let source_depth =
-        base_depth + dec.chain.len() - usize::from(table_sink == 1 && !dec.chain.is_empty());
-    let source = ex.execute_at_depth(dec.source, source_depth)?;
+    // Execute the source (breaker boundary) inside the innermost op.
+    let source = ex.execute(dec.source)?;
 
     // Build the join sides bottom-up (pre-order places the deepest join's
     // build side first).
     let pool = Pool::new(ctx.threads());
-    let ops = build_fused_ops(ex, &dec, &pool, base_depth)?;
+    let ops = build_fused_ops(ex, &dec, &pool, members.iter().map(|(_, scope)| *scope))?;
 
     // The morsel loop.
     let queue = MorselQueue::new(source.row_count(), ctx.morsel_rows());
@@ -317,7 +313,7 @@ pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table
     let sink = &dec.sink;
     let source_ref: &Table = &source;
     let ops_ref: &[FusedOp<'_>] = &ops;
-    let pipe_span = ctx.trace().map(|t| t.begin(ctx.trace_parent(), "pipeline"));
+    let span = ctx.span("pipeline");
 
     type PipelineWorkerOut = (Vec<MorselRun>, Duration, Duration);
     let worker_results: Vec<Result<PipelineWorkerOut>> = pool.broadcast(workers, |_w| {
@@ -362,97 +358,61 @@ pub(crate) fn execute(ex: &Executor<'_>, plan: &LogicalPlan) -> Result<Arc<Table
         Ok((local, wait_total, wait_max))
     });
 
-    // Per-worker morsel counts for the pipeline stat, then the runs.
+    // Per-worker morsel counts for the pipeline span, then the runs.
     let mut per_worker: Vec<usize> = Vec::with_capacity(worker_results.len());
     let mut runs: Vec<MorselRun> = Vec::new();
     let mut queue_wait = Duration::ZERO;
     let mut queue_wait_max = Duration::ZERO;
-    let merged = (|| {
-        for r in worker_results {
-            let (local, wait_total, wait_max) = r?;
-            per_worker.push(local.len());
-            runs.extend(local);
-            queue_wait += wait_total;
-            queue_wait_max = queue_wait_max.max(wait_max);
-        }
-        merge(&dec, plan, &source, &ops, runs, row_limit)
-    })();
-    let (out, op_rows) = match merged {
-        Ok(merged) => merged,
-        Err(e) => {
-            // Close the span so a failed statement's trace stays balanced.
-            if let (Some(t), Some(id)) = (ctx.trace(), pipe_span) {
-                t.end(id);
-            }
-            return Err(e);
-        }
-    };
+    for r in worker_results {
+        let (local, wait_total, wait_max) = r?;
+        per_worker.push(local.len());
+        runs.extend(local);
+        queue_wait += wait_total;
+        queue_wait_max = queue_wait_max.max(wait_max);
+    }
+    let (out, op_rows) = merge(&dec, plan, &source, &ops, runs, row_limit)?;
 
     let morsels: usize = per_worker.iter().sum();
     if let Some(reg) = metrics {
         reg.record_pipeline(morsels as u64);
     }
-    if let (Some(t), Some(id)) = (ctx.trace(), pipe_span) {
-        t.end_with(
-            id,
-            vec![
-                ("label".to_string(), TraceValue::from(pipeline_label(&dec))),
-                ("morsels".to_string(), TraceValue::from(morsels)),
-                ("workers".to_string(), TraceValue::from(per_worker.len())),
-                (
-                    "min_per_worker".to_string(),
-                    TraceValue::from(per_worker.iter().copied().min().unwrap_or(0)),
-                ),
-                (
-                    "max_per_worker".to_string(),
-                    TraceValue::from(per_worker.iter().copied().max().unwrap_or(0)),
-                ),
-                ("queue_wait_us".to_string(), TraceValue::Int(queue_wait.as_micros() as i64)),
-            ],
-        );
+    if span.is_recording() {
+        span.attr("label", pipeline_label(&dec));
+        span.attr("morsels", morsels);
+        span.attr("workers", per_worker.len());
+        span.attr("min_per_worker", per_worker.iter().copied().min().unwrap_or(0));
+        span.attr("max_per_worker", per_worker.iter().copied().max().unwrap_or(0));
+        span.attr("queue_wait_us", queue_wait.as_micros() as i64);
+        span.attr("queue_wait_max_us", queue_wait_max.as_micros() as i64);
     }
-    if stats_on {
-        let elapsed = t0.elapsed();
-        if let Some(cell) = ctx.stats_cell() {
-            let mut stats = cell.lock().expect("stats lock");
-            for (slot, rows) in chain_slots.iter().zip(op_rows) {
-                if let Some(slot) = slot {
-                    stats.finish(*slot, rows, elapsed, None);
-                }
-            }
+    drop(span);
+    for ((member, _), rows) in members.iter().rev().zip(op_rows) {
+        if let Some(member) = member {
+            member.attr("rows", rows);
         }
-        ctx.record_pipeline_stat(PipelineStat {
-            label: pipeline_label(&dec),
-            morsels,
-            min_per_worker: per_worker.iter().copied().min().unwrap_or(0),
-            max_per_worker: per_worker.iter().copied().max().unwrap_or(0),
-            workers: per_worker.len(),
-            elapsed: t0.elapsed(),
-            queue_wait,
-            queue_wait_max,
-        });
     }
     Ok(out)
 }
 
 /// Instantiate the fused operators for a decomposed chain, executing each
-/// join's build (right) side as a breaker. Build sides run deepest-join
-/// first so the stats tree keeps execution pre-order.
+/// join's build (right) side as a breaker inside the join's span. `scopes`
+/// holds the span each chain member's inputs open under, innermost first.
+/// Build sides run deepest-join first, so spans open in execution
+/// pre-order.
 fn build_fused_ops<'p>(
     ex: &Executor<'_>,
     dec: &Decomposed<'p>,
     pool: &Pool,
-    base_depth: usize,
+    scopes: impl Iterator<Item = SpanId>,
 ) -> Result<Vec<FusedOp<'p>>> {
     let ctx = ex.ctx();
     let mut ops: Vec<FusedOp<'p>> = Vec::with_capacity(dec.chain.len());
-    for (i, &node) in dec.chain.iter().enumerate().rev() {
+    for (&node, scope) in dec.chain.iter().rev().zip(scopes) {
         let kind = match node {
             LogicalPlan::Filter { predicate, .. } => OpKind::Filter(predicate),
             LogicalPlan::Project { exprs, schema, .. } => OpKind::Project { exprs, schema },
             LogicalPlan::Join { left, right, kind, on, schema } => {
-                let depth = base_depth + i + 1 - usize::from(matches!(dec.sink, SinkSpec::Table));
-                let built = ex.execute_at_depth(right, depth)?;
+                let built = ctx.within(scope, || ex.execute(right))?;
                 let n_left = left.schema().len();
                 let probe =
                     JoinProbe::build(built, *kind, on.as_ref(), n_left, ctx.params(), pool)?;

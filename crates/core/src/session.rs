@@ -14,9 +14,9 @@
 //!   guards against runaway intermediate results, `plan_cache_size` sizes
 //!   the cache, `threads` sets the degree of parallelism for traversals
 //!   and row-parallel operators (`1` = exact sequential execution);
-//! * `EXPLAIN ANALYZE` executes a query with per-operator statistics
-//!   collection and renders the plan annotated with row counts and wall
-//!   time.
+//! * `EXPLAIN ANALYZE` executes a query under a verbose trace — the
+//!   statement's own when `SET trace` is on — and renders the plan
+//!   annotated with row counts and wall time from its operator spans.
 //!
 //! Sessions are cheap; open one per connection/thread. The shared
 //! [`Database`] itself is thread-safe.
@@ -50,8 +50,8 @@ use crate::optimize::optimize_with;
 use crate::path_index::{IndexFamily, PathIndexKind};
 use crate::plan::LogicalPlan;
 use gsql_obs::{
-    EngineMetrics, QueryOutcome, QueryVerb, SlowQueryRecord, SpanId, TraceCollector, TraceValue,
-    NO_SPAN,
+    EngineMetrics, QueryOutcome, QueryVerb, SlowQueryRecord, SpanId, TraceCollector, TraceLevel,
+    TraceValue, NO_SPAN,
 };
 use gsql_parser::{ast, parse_sql, parse_statement};
 use gsql_storage::{ColumnDef, DataType, Schema, Table, Value};
@@ -94,29 +94,40 @@ struct PlanCache {
     hits: u64,
     misses: u64,
     invalidations: u64,
-    /// Counter values already pushed to the engine metrics registry (see
-    /// [`PlanCache::drain_unsynced`]).
-    synced: (u64, u64, u64),
 }
 
 impl PlanCache {
     /// A fresh (version-matching) cached plan for `sql`, if any. A stale
-    /// entry is discarded and counted as an invalidation.
-    fn get(&mut self, sql: &str, schema_version: u64) -> Option<Arc<LogicalPlan>> {
+    /// entry is discarded and counted as an invalidation. Hits and
+    /// invalidations count into `metrics` too.
+    fn get(
+        &mut self,
+        sql: &str,
+        schema_version: u64,
+        metrics: &EngineMetrics,
+    ) -> Option<Arc<LogicalPlan>> {
         match self.map.get_mut(sql) {
             Some(entry) if entry.schema_version == schema_version => {
                 self.tick += 1;
                 entry.last_used = self.tick;
                 self.hits += 1;
+                metrics.record_plan_cache(true);
                 Some(Arc::clone(&entry.plan))
             }
             Some(_) => {
                 self.map.remove(sql);
                 self.invalidations += 1;
+                metrics.plan_cache_invalidations.inc();
                 None
             }
             None => None,
         }
+    }
+
+    /// Count a plan built from scratch, here and in `metrics`.
+    fn count_miss(&mut self, metrics: &EngineMetrics) {
+        self.misses += 1;
+        metrics.record_plan_cache(false);
     }
 
     /// Record a freshly built plan (a miss), evicting the least recently
@@ -128,8 +139,9 @@ impl PlanCache {
         plan: Arc<LogicalPlan>,
         schema_version: u64,
         capacity: usize,
+        metrics: &EngineMetrics,
     ) {
-        self.misses += 1;
+        self.count_miss(metrics);
         if capacity == 0 {
             return;
         }
@@ -169,22 +181,6 @@ impl PlanCache {
             invalidations: self.invalidations,
             entries: self.map.len(),
         }
-    }
-
-    /// Counter movement since the last drain, plus the current entry
-    /// count. Sessions push these deltas into the engine metrics registry
-    /// after each plan lookup; draining under the cache's own lock (shared
-    /// caches) makes the sync exact even with concurrent sessions.
-    fn drain_unsynced(&mut self) -> (u64, u64, u64, usize) {
-        let (h, m, i) = self.synced;
-        let delta = (
-            self.hits.saturating_sub(h),
-            self.misses.saturating_sub(m),
-            self.invalidations.saturating_sub(i),
-            self.map.len(),
-        );
-        self.synced = (self.hits, self.misses, self.invalidations);
-        delta
     }
 }
 
@@ -231,19 +227,13 @@ impl SharedPlanCache {
         self.inner.lock().expect("shared plan cache poisoned")
     }
 
-    fn get(&self, sql: &str, settings: &SessionSettings, version: u64) -> Option<Arc<LogicalPlan>> {
-        self.lock().get(&Self::key(sql, settings), version)
-    }
-
-    fn insert(
-        &self,
-        sql: &str,
-        settings: &SessionSettings,
-        plan: Arc<LogicalPlan>,
-        version: u64,
-        capacity: usize,
-    ) {
-        self.lock().insert(Self::key(sql, settings), plan, version, capacity);
+    /// Run `f` on the cache, then set the `plan_cache_entries` gauge under
+    /// the same lock, so concurrent sessions never publish a stale count.
+    fn update<T>(&self, metrics: &EngineMetrics, f: impl FnOnce(&mut PlanCache) -> T) -> T {
+        let mut cache = self.lock();
+        let out = f(&mut cache);
+        metrics.plan_cache_entries.set(cache.map.len() as i64);
+        out
     }
 }
 
@@ -256,10 +246,19 @@ enum CacheSlot {
 }
 
 impl CacheSlot {
-    fn get(&self, sql: &str, settings: &SessionSettings, version: u64) -> Option<Arc<LogicalPlan>> {
+    fn get(
+        &self,
+        sql: &str,
+        settings: &SessionSettings,
+        version: u64,
+        metrics: &EngineMetrics,
+    ) -> Option<Arc<LogicalPlan>> {
         match self {
-            CacheSlot::Local(c) => c.borrow_mut().get(sql, version),
-            CacheSlot::Shared(c) => c.get(sql, settings, version),
+            CacheSlot::Local(c) => c.borrow_mut().get(sql, version, metrics),
+            CacheSlot::Shared(c) => {
+                let key = SharedPlanCache::key(sql, settings);
+                c.update(metrics, |cache| cache.get(&key, version, metrics))
+            }
         }
     }
 
@@ -270,18 +269,24 @@ impl CacheSlot {
         plan: Arc<LogicalPlan>,
         version: u64,
         capacity: usize,
+        metrics: &EngineMetrics,
     ) {
         match self {
-            CacheSlot::Local(c) => c.borrow_mut().insert(sql.to_string(), plan, version, capacity),
-            CacheSlot::Shared(c) => c.insert(sql, settings, plan, version, capacity),
+            CacheSlot::Local(c) => {
+                c.borrow_mut().insert(sql.to_string(), plan, version, capacity, metrics)
+            }
+            CacheSlot::Shared(c) => {
+                let key = SharedPlanCache::key(sql, settings);
+                c.update(metrics, |cache| cache.insert(key, plan, version, capacity, metrics))
+            }
         }
     }
 
     /// Count a plan that was built but not keyed (no SQL text).
-    fn count_miss(&self) {
+    fn count_miss(&self, metrics: &EngineMetrics) {
         match self {
-            CacheSlot::Local(c) => c.borrow_mut().misses += 1,
-            CacheSlot::Shared(c) => c.lock().misses += 1,
+            CacheSlot::Local(c) => c.borrow_mut().count_miss(metrics),
+            CacheSlot::Shared(c) => c.lock().count_miss(metrics),
         }
     }
 
@@ -295,10 +300,10 @@ impl CacheSlot {
         }
     }
 
-    fn shrink_to(&self, capacity: usize) {
+    fn shrink_to(&self, capacity: usize, metrics: &EngineMetrics) {
         match self {
             CacheSlot::Local(c) => c.borrow_mut().shrink_to(capacity),
-            CacheSlot::Shared(c) => c.lock().shrink_to(capacity),
+            CacheSlot::Shared(c) => c.update(metrics, |cache| cache.shrink_to(capacity)),
         }
     }
 
@@ -306,23 +311,6 @@ impl CacheSlot {
         match self {
             CacheSlot::Local(c) => c.borrow().stats(),
             CacheSlot::Shared(c) => c.stats(),
-        }
-    }
-
-    /// Push counter movement since the last sync into the engine metrics.
-    /// The entries gauge tracks the shared (database-wide) cache only —
-    /// per-session local caches are additive on the counters but have no
-    /// single meaningful entry count.
-    fn sync_metrics(&self, metrics: &EngineMetrics) {
-        let (hits, misses, invalidations, entries) = match self {
-            CacheSlot::Local(c) => c.borrow_mut().drain_unsynced(),
-            CacheSlot::Shared(c) => c.lock().drain_unsynced(),
-        };
-        metrics.plan_cache_hits.add(hits);
-        metrics.plan_cache_misses.add(misses);
-        metrics.plan_cache_invalidations.add(invalidations);
-        if matches!(self, CacheSlot::Shared(_)) {
-            metrics.plan_cache_entries.set(entries as i64);
         }
     }
 }
@@ -433,7 +421,7 @@ impl<'db> Session<'db> {
             self.cache.planning_setting_changed();
         } else if name.eq_ignore_ascii_case("plan_cache_size") {
             let capacity = self.settings.borrow().plan_cache_size;
-            self.cache.shrink_to(capacity);
+            self.cache.shrink_to(capacity, self.db.metrics());
         }
         Ok(())
     }
@@ -529,7 +517,7 @@ impl<'db> Session<'db> {
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
         let prepared = PreparedStatement::parse(sql)?;
         if let ast::Statement::Query(q) = prepared.statement.as_ref() {
-            self.cached_plan(Some(sql), q, &[], None)?;
+            self.cached_plan(Some(sql), q, &[], None, NO_SPAN)?;
         }
         Ok(prepared)
     }
@@ -540,11 +528,7 @@ impl<'db> Session<'db> {
         match parse_statement(sql)? {
             ast::Statement::Query(q)
             | ast::Statement::Explain(q)
-            | ast::Statement::ExplainAnalyze(q) => {
-                let ctx = self.ctx(&[], None);
-                let plan = Binder::new(&ctx).bind_query(&q)?;
-                Ok(optimize_with(plan, &ctx))
-            }
+            | ast::Statement::ExplainAnalyze(q) => bind_and_optimize(&self.ctx(&[], None), &q),
             _ => Err(bind_err!("plan() expects a query")),
         }
     }
@@ -562,45 +546,41 @@ impl<'db> Session<'db> {
 
     /// The bound+optimized plan for a query — from the session cache when
     /// `sql_key` is given and the entry is fresh, otherwise built (and
-    /// cached) now. `trace` is the collector plus the statement span to
-    /// attach bind/optimize spans under, when tracing.
+    /// cached) now. When tracing, `collector`/`root` carry the statement
+    /// span the bind/optimize spans attach under.
     fn cached_plan(
         &self,
         sql_key: Option<&str>,
         q: &ast::Query,
         params: &[Value],
-        trace: Option<(&TraceCollector, SpanId)>,
+        collector: Option<&Arc<TraceCollector>>,
+        root: SpanId,
     ) -> Result<Arc<LogicalPlan>> {
         let settings = self.settings.borrow().clone();
         let capacity = settings.plan_cache_size;
         let schema_version = self.db.schema_version();
+        let metrics = self.db.metrics();
         if let (Some(sql), true) = (sql_key, capacity > 0) {
-            if let Some(plan) = self.cache.get(sql, &settings, schema_version) {
-                self.cache.sync_metrics(self.db.metrics());
-                if let Some((t, root)) = trace {
+            if let Some(plan) = self.cache.get(sql, &settings, schema_version, metrics) {
+                if let Some(t) = collector {
                     t.attr(root, "plan_cache", TraceValue::from("hit"));
                 }
                 return Ok(plan);
             }
         }
-        let ctx = self.ctx(params, None);
-        let span = trace.map(|(t, root)| (t, t.begin(root, "bind")));
-        let plan = Binder::new(&ctx).bind_query(q)?;
-        if let Some((t, id)) = span {
-            t.end(id);
-        }
-        let span = trace.map(|(t, root)| (t, t.begin(root, "optimize")));
-        let plan = Arc::new(optimize_with(plan, &ctx));
-        if let Some((t, id)) = span {
-            t.end(id);
-        }
+        let ctx = self.ctx(params, None).with_trace(collector.cloned(), root);
+        let plan = Arc::new(bind_and_optimize(&ctx, q)?);
         match sql_key {
-            Some(sql) => {
-                self.cache.insert(sql, &settings, Arc::clone(&plan), schema_version, capacity)
-            }
-            None => self.cache.count_miss(),
+            Some(sql) => self.cache.insert(
+                sql,
+                &settings,
+                Arc::clone(&plan),
+                schema_version,
+                capacity,
+                metrics,
+            ),
+            None => self.cache.count_miss(metrics),
         }
-        self.cache.sync_metrics(self.db.metrics());
         Ok(plan)
     }
 
@@ -632,7 +612,13 @@ impl<'db> Session<'db> {
         self.pending_fingerprint.set(None);
         let verb = statement_verb(statement);
         let level = self.settings.borrow().trace;
-        let collector = level.enabled().then(|| Arc::new(TraceCollector::new(level)));
+        let collector = level.enabled().then(|| {
+            Arc::new(match statement {
+                // EXPLAIN ANALYZE renders every operator span of its trace.
+                ast::Statement::ExplainAnalyze(_) => TraceCollector::unbounded(TraceLevel::Verbose),
+                _ => TraceCollector::new(level),
+            })
+        });
         let root = match &collector {
             Some(t) => {
                 let id = t.begin(NO_SPAN, "statement");
@@ -654,7 +640,8 @@ impl<'db> Session<'db> {
         };
         self.db.metrics().record_query(verb, outcome, elapsed.as_micros() as u64);
         if let Some(t) = &collector {
-            t.end_with(root, vec![("outcome".to_string(), TraceValue::from(outcome.as_str()))]);
+            t.attr(root, "outcome", TraceValue::from(outcome.as_str()));
+            t.end(root);
             let mut ring = self.traces.borrow_mut();
             if ring.len() >= TRACE_RING {
                 ring.pop_front();
@@ -737,37 +724,35 @@ impl<'db> Session<'db> {
         collector: Option<&Arc<TraceCollector>>,
         root: SpanId,
     ) -> Result<QueryResult> {
-        let trace = collector.map(|t| (t.as_ref(), root));
         match statement {
             ast::Statement::Query(q) => {
-                let plan = self.cached_plan(sql_key, q, params, trace)?;
+                let plan = self.cached_plan(sql_key, q, params, collector, root)?;
                 if self.settings.borrow().slow_query_ms.is_some() {
                     self.pending_fingerprint.set(Some(plan_fingerprint(&plan)));
                 }
-                let exec_span = collector.map(|t| (t, t.begin(root, "execute")));
-                let mut ctx = self.ctx(params, deadline);
-                if let Some((t, id)) = &exec_span {
-                    ctx = ctx.with_trace(Some(Arc::clone(t)), *id);
-                }
-                let table = Executor::new(&ctx).execute(&plan);
-                if let Some((t, id)) = exec_span {
-                    t.end(id);
-                }
-                Ok(QueryResult::Table(table?))
+                let ctx = self.ctx(params, deadline).with_trace(collector.cloned(), root);
+                let _span = ctx.span("execute");
+                Ok(QueryResult::Table(Executor::new(&ctx).execute(&plan)?))
             }
             ast::Statement::Explain(q) => {
-                let ctx = self.ctx(params, deadline);
-                let plan = Binder::new(&ctx).bind_query(q)?;
-                let plan = optimize_with(plan, &ctx);
+                let ctx = self.ctx(params, deadline).with_trace(collector.cloned(), root);
+                let plan = bind_and_optimize(&ctx, q)?;
                 let text = crate::exec::pipeline::explain_with_pipelines(&plan);
                 text_table("plan", text.lines())
             }
             ast::Statement::ExplainAnalyze(q) => {
-                let ctx = self.ctx(params, deadline).with_stats();
-                let plan = Binder::new(&ctx).bind_query(q)?;
-                let plan = optimize_with(plan, &ctx);
-                let t0 = std::time::Instant::now();
-                let result = Executor::new(&ctx).execute(&plan)?;
+                // The statement's own (verbose) collector when tracing, so
+                // its trace holds the full tree; a private one otherwise.
+                let ctx = match collector {
+                    Some(t) => self.ctx(params, deadline).with_trace(Some(Arc::clone(t)), root),
+                    None => self.ctx(params, deadline).with_stats(),
+                };
+                let plan = bind_and_optimize(&ctx, q)?;
+                let t0 = Instant::now();
+                let result = {
+                    let _span = ctx.span("execute");
+                    Executor::new(&ctx).execute(&plan)?
+                };
                 let total = t0.elapsed();
                 let stats = ctx.take_stats();
                 let mut lines: Vec<String> = stats.render().lines().map(str::to_string).collect();
@@ -905,6 +890,16 @@ impl<'db> Session<'db> {
     }
 }
 
+/// Bind and optimize a query, each phase in its own span of `ctx`'s trace.
+fn bind_and_optimize(ctx: &ExecContext<'_>, q: &ast::Query) -> Result<LogicalPlan> {
+    let plan = {
+        let _span = ctx.span("bind");
+        Binder::new(ctx).bind_query(q)?
+    };
+    let _span = ctx.span("optimize");
+    Ok(optimize_with(plan, ctx))
+}
+
 /// The metrics verb a statement is recorded under.
 fn statement_verb(statement: &ast::Statement) -> QueryVerb {
     match statement {
@@ -999,26 +994,28 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let mut cache = PlanCache::default();
+        let (mut cache, m) = (PlanCache::default(), EngineMetrics::new());
         let plan = Arc::new(LogicalPlan::SingleRow);
-        cache.insert("a".into(), Arc::clone(&plan), 0, 2);
-        cache.insert("b".into(), Arc::clone(&plan), 0, 2);
-        assert!(cache.get("a", 0).is_some()); // refresh a
-        cache.insert("c".into(), Arc::clone(&plan), 0, 2); // evicts b
-        assert!(cache.get("b", 0).is_none());
-        assert!(cache.get("a", 0).is_some());
-        assert!(cache.get("c", 0).is_some());
+        cache.insert("a".into(), Arc::clone(&plan), 0, 2, &m);
+        cache.insert("b".into(), Arc::clone(&plan), 0, 2, &m);
+        assert!(cache.get("a", 0, &m).is_some()); // refresh a
+        cache.insert("c".into(), Arc::clone(&plan), 0, 2, &m); // evicts b
+        assert!(cache.get("b", 0, &m).is_none());
+        assert!(cache.get("a", 0, &m).is_some());
+        assert!(cache.get("c", 0, &m).is_some());
         assert_eq!(cache.stats().entries, 2);
+        assert_eq!((m.plan_cache_hits.get(), m.plan_cache_misses.get()), (3, 3));
     }
 
     #[test]
     fn stale_entries_are_invalidated() {
-        let mut cache = PlanCache::default();
+        let (mut cache, m) = (PlanCache::default(), EngineMetrics::new());
         let plan = Arc::new(LogicalPlan::SingleRow);
-        cache.insert("q".into(), plan, 7, 4);
-        assert!(cache.get("q", 8).is_none());
+        cache.insert("q".into(), plan, 7, 4, &m);
+        assert!(cache.get("q", 8, &m).is_none());
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(cache.stats().entries, 0);
+        assert_eq!(m.plan_cache_invalidations.get(), 1);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use metrics::{
     HistogramSnapshot, QueryOutcome, QueryVerb, Registry, ACCEL_KINDS,
 };
 pub use slowlog::{SlowLog, SlowQueryRecord};
-pub use trace::{SpanId, TraceCollector, TraceLevel, TraceValue, MAX_SPANS, NO_SPAN};
+pub use trace::{SpanId, SpanRecord, TraceCollector, TraceLevel, TraceValue, MAX_SPANS, NO_SPAN};
 
 /// Escape `s` for inclusion inside a double-quoted JSON string.
 pub fn json_escape(s: &str) -> String {

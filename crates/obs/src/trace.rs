@@ -1,21 +1,24 @@
 //! Per-query hierarchical tracing.
 //!
 //! A [`TraceCollector`] is created per statement when `SET trace =
-//! on|verbose`; engine layers open spans around parse/bind/optimize/
-//! execute, each pipeline, and each traversal batch. Spans form a tree via
-//! parent ids and render as nested JSON, returned through the session API
-//! and inline in HTTP responses.
+//! on|verbose` (and, always verbose, for `EXPLAIN ANALYZE`); engine layers
+//! open spans around parse/bind/optimize/execute, each pipeline, and each
+//! traversal batch, and at `verbose` around each plan operator. Spans form
+//! a tree via parent ids and render as nested JSON, returned through the
+//! session API and inline in HTTP responses. The same tree, read back with
+//! [`TraceCollector::read`], is what `EXPLAIN ANALYZE` renders.
 //!
 //! Tracing never alters execution: collectors only append to a
-//! mutex-guarded buffer, and the buffer is bounded ([`MAX_SPANS`]) so a
-//! pathological plan cannot grow it without limit.
+//! mutex-guarded buffer. A statement trace's buffer is bounded
+//! ([`MAX_SPANS`]) so a pathological plan cannot grow the trace documents
+//! a session and an HTTP response carry without limit; an `EXPLAIN
+//! ANALYZE` trace is not, since it prints every operator.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Hard cap on spans per query. Past it, `begin` hands out [`NO_SPAN`] and
-/// the span (plus its children) is silently dropped.
+/// Cap on spans per traced statement ([`TraceCollector::new`]). Past it,
+/// `begin` hands out [`NO_SPAN`] and the span is silently dropped.
 pub const MAX_SPANS: usize = 4096;
 
 /// Sentinel id for "no span" (trace off, or the buffer is full).
@@ -96,13 +99,42 @@ impl From<String> for TraceValue {
     }
 }
 
+/// One recorded span.
 #[derive(Debug)]
-struct Span {
-    parent: u32,
-    name: String,
-    start_us: u64,
-    dur_us: u64,
-    attrs: Vec<(String, TraceValue)>,
+pub struct SpanRecord {
+    /// The enclosing span ([`NO_SPAN`] for a root). Always opened before
+    /// this one, so its id is smaller.
+    pub parent: SpanId,
+    /// The span name (`pipeline`, `traversal`, an operator label, ...).
+    pub name: String,
+    /// Start, in microseconds since the collector was created.
+    pub start_us: u64,
+    /// Duration in microseconds; 0 while the span is open.
+    pub dur_us: u64,
+    /// Attributes, in the order they were attached.
+    pub attrs: Vec<(String, TraceValue)>,
+}
+
+impl SpanRecord {
+    fn attr(&self, key: &str) -> Option<&TraceValue> {
+        self.attrs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// An integer attribute.
+    pub fn int(&self, key: &str) -> Option<i64> {
+        match self.attr(key)? {
+            TraceValue::Int(v) => Some(*v),
+            TraceValue::Str(_) => None,
+        }
+    }
+
+    /// A string attribute.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        match self.attr(key)? {
+            TraceValue::Str(v) => Some(v),
+            TraceValue::Int(_) => None,
+        }
+    }
 }
 
 /// Collects the span tree for one traced statement.
@@ -110,19 +142,26 @@ struct Span {
 pub struct TraceCollector {
     level: TraceLevel,
     origin: Instant,
-    spans: Mutex<Vec<Span>>,
-    dropped: AtomicU32,
+    spans: Mutex<Vec<SpanRecord>>,
+    max_spans: usize,
 }
 
 impl TraceCollector {
-    /// A collector at the given level, with "time zero" = now.
+    /// A collector at the given level holding at most [`MAX_SPANS`] spans,
+    /// with "time zero" = now.
     pub fn new(level: TraceLevel) -> TraceCollector {
-        TraceCollector {
-            level,
-            origin: Instant::now(),
-            spans: Mutex::new(Vec::new()),
-            dropped: AtomicU32::new(0),
-        }
+        TraceCollector::with_max_spans(level, MAX_SPANS)
+    }
+
+    /// A collector with no span cap, for `EXPLAIN ANALYZE`, which prints
+    /// every operator span. A statement opens a bounded number of spans
+    /// per plan node, so its trace stays proportional to its plan.
+    pub fn unbounded(level: TraceLevel) -> TraceCollector {
+        TraceCollector::with_max_spans(level, NO_SPAN as usize)
+    }
+
+    fn with_max_spans(level: TraceLevel, max_spans: usize) -> TraceCollector {
+        TraceCollector { level, origin: Instant::now(), spans: Mutex::new(Vec::new()), max_spans }
     }
 
     /// The collection level.
@@ -135,30 +174,31 @@ impl TraceCollector {
     pub fn begin(&self, parent: SpanId, name: &str) -> SpanId {
         let start_us = self.origin.elapsed().as_micros() as u64;
         let mut spans = self.spans.lock().expect("trace poisoned");
-        if spans.len() >= MAX_SPANS {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        if spans.len() >= self.max_spans {
             return NO_SPAN;
         }
         let id = spans.len() as u32;
-        spans.push(Span { parent, name: name.to_string(), start_us, dur_us: 0, attrs: Vec::new() });
+        spans.push(SpanRecord {
+            parent,
+            name: name.to_string(),
+            start_us,
+            dur_us: 0,
+            attrs: Vec::new(),
+        });
         id
     }
 
-    /// Close a span, recording its duration. No-op for [`NO_SPAN`].
+    /// Close a span, recording its duration. No-op for [`NO_SPAN`], and
+    /// for a buffer poisoned by a panic: span guards call this while
+    /// unwinding, where a second panic would abort.
     pub fn end(&self, id: SpanId) {
-        self.end_with(id, Vec::new());
-    }
-
-    /// Close a span with attributes.
-    pub fn end_with(&self, id: SpanId, attrs: Vec<(String, TraceValue)>) {
         if id == NO_SPAN {
             return;
         }
         let now_us = self.origin.elapsed().as_micros() as u64;
-        let mut spans = self.spans.lock().expect("trace poisoned");
+        let Ok(mut spans) = self.spans.lock() else { return };
         if let Some(span) = spans.get_mut(id as usize) {
             span.dur_us = now_us.saturating_sub(span.start_us);
-            span.attrs.extend(attrs);
         }
     }
 
@@ -171,6 +211,11 @@ impl TraceCollector {
         if let Some(span) = spans.get_mut(id as usize) {
             span.attrs.push((key.to_string(), value));
         }
+    }
+
+    /// Run `f` over the spans recorded so far, indexed by [`SpanId`].
+    pub fn read<T>(&self, f: impl FnOnce(&[SpanRecord]) -> T) -> T {
+        f(&self.spans.lock().expect("trace poisoned"))
     }
 
     /// Number of spans recorded so far.
@@ -210,7 +255,7 @@ impl TraceCollector {
     }
 }
 
-fn render_span(spans: &[Span], children: &[Vec<usize>], i: usize, out: &mut String) {
+fn render_span(spans: &[SpanRecord], children: &[Vec<usize>], i: usize, out: &mut String) {
     let span = &spans[i];
     out.push_str(&format!(
         "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{}",
@@ -268,7 +313,8 @@ mod tests {
         let t = TraceCollector::new(TraceLevel::On);
         let root = t.begin(NO_SPAN, "execute");
         let child = t.begin(root, "pipeline");
-        t.end_with(child, vec![("morsels".to_string(), TraceValue::Int(4))]);
+        t.attr(child, "morsels", TraceValue::Int(4));
+        t.end(child);
         let sibling = t.begin(root, "traversal");
         t.attr(sibling, "kind", TraceValue::from("ch"));
         t.end(sibling);
@@ -281,6 +327,12 @@ mod tests {
         assert!(json.contains("\"attrs\":{\"kind\":\"ch\"}"));
         assert_eq!(t.root_summary().len(), 1);
         assert_eq!(t.root_summary()[0].0, "execute");
+        t.read(|spans| {
+            assert_eq!(spans[child as usize].parent, root);
+            assert_eq!(spans[child as usize].int("morsels"), Some(4));
+            assert_eq!(spans[sibling as usize].str("kind"), Some("ch"));
+            assert_eq!(spans[sibling as usize].int("kind"), None);
+        });
     }
 
     #[test]

@@ -182,6 +182,175 @@ fn failed_pipeline_closes_its_span() {
     );
 }
 
+/// A statement that fails to bind still closes its `bind` span, so the
+/// trace shows how long binding ran before the error.
+#[test]
+fn failed_bind_closes_its_span() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (x INTEGER NOT NULL)").unwrap();
+    let session = db.session();
+    session.set("trace", "on").unwrap();
+    // Thousands of terms bind before the unknown column fails the list.
+    let mut terms = vec!["t.x + 1"; 3_000];
+    terms.push("t.nosuch");
+    let err = session.query(&format!("SELECT {} FROM t", terms.join(", "))).unwrap_err();
+    assert!(err.to_string().contains("nosuch"), "{err}");
+    let doc = json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
+    let roots = doc.as_array().expect("trace JSON is a span array");
+    let bind = find_span(roots, "bind").expect("bind span under the statement");
+    assert!(
+        bind.get("dur_us").and_then(Json::as_i64).unwrap_or(0) > 0,
+        "failed bind span left open: {bind:?}"
+    );
+    assert!(find_span(roots, "optimize").is_none(), "nothing optimizes after a failed bind");
+}
+
+/// One operator line of `EXPLAIN ANALYZE`, or one operator span of a
+/// verbose trace: nesting depth, label, output rows and detail.
+type OpLine = (usize, String, i64, Option<String>);
+
+/// The operator lines of an `EXPLAIN ANALYZE` result, time stripped.
+fn analyze_ops(t: &gsql::Table) -> Vec<OpLine> {
+    t.rows()
+        .map(|r| r[0].as_str().unwrap().to_string())
+        .filter(|l| !l.starts_with("Pipeline ") && !l.starts_with("Result:"))
+        .map(|line| {
+            let label = line.trim_start();
+            let depth = (line.len() - label.len()) / 2;
+            let (label, stats) = label.rsplit_once(" (rows=").expect("operator line");
+            let (rows, rest) = stats.split_once(", time=").expect("rows then time");
+            let detail =
+                rest.split_once(", ").map(|(_, d)| d.strip_suffix(')').unwrap().to_string());
+            (depth, label.to_string(), rows.parse().unwrap(), detail)
+        })
+        .collect()
+}
+
+/// The operator spans (those carrying `rows`) of a trace, in pre-order,
+/// each with the `detail` of a traversal span directly inside it.
+fn traced_ops(spans: &[Json], depth: usize, out: &mut Vec<OpLine>) {
+    for span in spans {
+        let children = span.get("children").and_then(Json::as_array).unwrap_or(&[]);
+        match attr(span, "rows").and_then(Json::as_i64) {
+            Some(rows) => {
+                let detail = children
+                    .iter()
+                    .filter(|c| c.get("name").and_then(Json::as_str) == Some("traversal"))
+                    .find_map(|c| attr(c, "detail").and_then(Json::as_str))
+                    .map(str::to_string);
+                let name = span.get("name").and_then(Json::as_str).unwrap().to_string();
+                out.push((depth, name, rows, detail));
+                traced_ops(children, depth + 1, out);
+            }
+            None => traced_ops(children, depth, out),
+        }
+    }
+}
+
+fn last_trace_ops(session: &gsql::Session) -> (Json, Vec<OpLine>) {
+    let doc = json::parse(&session.last_trace_json().expect("trace ring populated")).unwrap();
+    let mut ops = Vec::new();
+    traced_ops(doc.as_array().unwrap(), 0, &mut ops);
+    (doc, ops)
+}
+
+/// Traces and `EXPLAIN ANALYZE` read one span tree: a verbose trace lists
+/// exactly the operators (labels, nesting, rows, traversal detail) of the
+/// `EXPLAIN ANALYZE` lines — fused pipeline members included — and a
+/// traced `EXPLAIN ANALYZE` records the full statement tree.
+#[test]
+fn traces_and_explain_analyze_agree() {
+    let db = graph_db();
+    db.execute("CREATE PATH INDEX pc ON e EDGE (s, d) WEIGHT w USING CONTRACTION").unwrap();
+    let cases = [
+        // Fused filter -> project.
+        "SELECT people.id + 1 FROM people WHERE people.grp = 3",
+        // Equi-join whose build side is a filtered scan.
+        "SELECT p1.id, p2.id FROM people p1 \
+         JOIN (SELECT * FROM people WHERE people.id > 10) p2 ON p1.grp = p2.grp \
+         WHERE p1.id < 30",
+        // Grouped aggregate.
+        "SELECT people.grp, COUNT(*) AS n, SUM(people.id) FROM people \
+         WHERE people.id % 3 <> 1 GROUP BY people.grp ORDER BY people.grp",
+        // CH-indexed graph join.
+        "SELECT p1.id, p2.id, CHEAPEST SUM(f: f.w) AS cost FROM people p1, people p2 \
+         WHERE p1.grp = 1 AND p2.grp = 4 AND p1.id REACHES p2.id OVER e f EDGE (s, d)",
+    ];
+    for threads in ["1", "4"] {
+        let session = db.session();
+        session.set("threads", threads).unwrap();
+        session.set("morsel_rows", "7").unwrap();
+        session.set("path_index", "on").unwrap();
+        for sql in cases {
+            session.set("trace", "off").unwrap();
+            let untraced = analyze_ops(&session.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap());
+            assert!(untraced.len() >= 3, "threads {threads}: {untraced:?}");
+
+            session.set("trace", "verbose").unwrap();
+            session.query(sql).unwrap();
+            let (doc, ops) = last_trace_ops(&session);
+            assert_eq!(
+                ops, untraced,
+                "threads {threads}: verbose trace vs EXPLAIN ANALYZE of {sql}\n{doc:?}"
+            );
+
+            // A traced EXPLAIN ANALYZE records the whole statement and
+            // prints what its own trace holds.
+            session.set("trace", "on").unwrap();
+            let t = session.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            let (doc, ops) = last_trace_ops(&session);
+            let roots = doc.as_array().unwrap();
+            for phase in ["statement", "bind", "optimize", "execute"] {
+                assert!(find_span(roots, phase).is_some(), "{phase} span missing: {doc:?}");
+            }
+            assert_eq!(ops, analyze_ops(&t), "threads {threads}: traced EXPLAIN ANALYZE of {sql}");
+            assert_eq!(
+                ops, untraced,
+                "threads {threads}: tracing changed EXPLAIN ANALYZE of {sql}"
+            );
+        }
+        // The graph join's `settled=N (ch…)` detail is its traversal span's.
+        let graph_join =
+            analyze_ops(&session.query(&format!("EXPLAIN ANALYZE {}", cases[3])).unwrap());
+        let detail = graph_join
+            .iter()
+            .find(|(_, label, _, _)| label.starts_with("GraphJoin"))
+            .and_then(|(_, _, _, detail)| detail.clone())
+            .unwrap_or_else(|| panic!("no GraphJoin detail: {graph_join:?}"));
+        assert!(detail.starts_with("settled=") && detail.contains("(ch"), "{detail}");
+    }
+}
+
+/// `EXPLAIN ANALYZE` prints every operator of a plan whose trace outgrows
+/// the span cap of a plain statement trace, traced or not.
+#[test]
+fn explain_analyze_lists_every_operator_of_a_large_plan() {
+    // Each branch is a Project/Filter/Scan pipeline (four spans) under a
+    // left-deep UNION ALL; the deep plan needs a deep stack.
+    let branches = gsql_obs::MAX_SPANS / 4;
+    let sql = (0..branches)
+        .map(|i| format!("SELECT t.x FROM t WHERE t.x = {i}"))
+        .collect::<Vec<_>>()
+        .join(" UNION ALL ");
+    let run = move || {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (x INTEGER NOT NULL)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        let session = db.session();
+        for trace in ["off", "on"] {
+            session.set("trace", trace).unwrap();
+            let t = session.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            let lines: Vec<String> = t.rows().map(|r| r[0].as_str().unwrap().to_string()).collect();
+            let pipelines = lines.iter().filter(|l| l.starts_with("Pipeline ")).count();
+            assert_eq!(pipelines, branches, "trace {trace}");
+            // Three operators per branch plus the n - 1 unions, the
+            // pipelines and the result line.
+            assert_eq!(lines.len(), 4 * branches - 1 + pipelines + 1, "trace {trace}");
+        }
+    };
+    std::thread::Builder::new().stack_size(256 << 20).spawn(run).unwrap().join().unwrap();
+}
+
 /// `SET trace = on` records a statement -> bind/optimize/execute ->
 /// pipeline span tree for a fused pipeline, and a traversal span with
 /// pair/settled counts for a batched graph join.
